@@ -1,279 +1,235 @@
 //! The async (wait-edge) differential: causal vs naive blame vs static.
 //!
 //! Runs the ground-truthed async hang corpus through three arms — a
-//! Hang Doctor fleet with the causal blame walk on, the same fleet with
-//! it off (`causal_blame = false`, the naive join-site diagnosis), and
-//! the full-profile static scanner — and scores detection and blame
-//! placement separately against ground truth. The expected shape, and
-//! what the `repro async-diff` artifact certifies:
+//! Hang Doctor fleet with the causal blame walk on (`causal`), the same
+//! fleet with it off (`baseline`, `causal_blame = false`, the naive
+//! join-site diagnosis), and the full-profile static scanner (`static`)
+//! — and scores detection and blame placement separately against
+//! ground truth. The invariants are the expected shape:
 //!
 //! * both fleets *detect* every hang (the join block trips the
 //!   context-switch symptom either way);
 //! * only the causal fleet *blames* the worker-side culprit — the
 //!   baseline lands on `FutureTask.get` at the join site;
 //! * the static arm reports nothing: a submitted body is not part of
-//!   any main-thread call chain ([`hd_sast::BugClass::AsyncHang`]).
+//!   any main-thread call chain ([`hd_sast::BugClass::AsyncHang`]);
+//! * the negative-control app stays silent in both fleets.
+//!
+//! A runtime arm's flags are report rows; a row is a true flag only
+//! when it names a ground-truth culprit at its own action — a join-site
+//! diagnosis of a real hang still counts as a false flag.
 
-use hangdoctor::{BlockingApiDb, FaultConfig, HangDoctorConfig};
+use std::collections::BTreeSet;
+
+use hangdoctor::HangDoctorConfig;
 use hd_appmodel::corpus::async_hang_apps;
-use hd_appmodel::App;
-use hd_fleet::{run_fleet, AppFleetSummary, DeviceProfile, FleetSpec};
-use hd_metrics::{ArmPrecision, AsyncAppDifferential, AsyncBugOutcome, AsyncDifferential};
-use hd_sast::{analyze_with_db, classify_bug, RuleProfile, SastConfig};
+use hd_appmodel::{App, BugSpec};
+use hd_fleet::bugs_reported;
+use hd_metrics::{ArmScore, ClassRecall, Truth};
+use hd_sast::RuleProfile;
 
 use crate::common::render_table;
+use crate::differential::{Arm, Differential, DifferentialReport};
+use crate::sast::{corpus_fleet, corpus_truth, scan_arm};
 
-/// How one fleet arm saw one app: report rows keyed for blame checks.
-struct ArmView {
-    entries: Vec<(String, String)>,
-    precision: ArmPrecision,
-}
-
-/// Collapses an app's fleet summary into `(action, symbol)` rows plus
-/// blame-level precision: a row is a true flag only when it names a
-/// ground-truth culprit at its own action — a join-site diagnosis of a
-/// real hang still counts as a false flag.
-fn arm_view(summary: &AppFleetSummary, app: &App) -> ArmView {
-    let entries: Vec<(String, String)> = summary
-        .report
-        .entries()
-        .iter()
-        .map(|e| (e.action.clone(), e.symbol.clone()))
-        .collect();
-    let true_flags = entries
-        .iter()
-        .filter(|(action, symbol)| {
-            app.bugs.iter().any(|b| {
-                &app.api(b.api).symbol == symbol
-                    && app.action(b.action).is_some_and(|a| &a.name == action)
-            })
+/// The symbol of the join API in the bug's action — where the naive
+/// diagnosis lands.
+fn join_site(app: &App, bug: &BugSpec) -> String {
+    app.action(bug.action)
+        .and_then(|action| {
+            action
+                .calls()
+                .find_map(|c| c.async_op.as_ref().and_then(|o| o.join_api()))
         })
-        .count();
-    ArmView {
-        precision: ArmPrecision {
-            flagged: entries.len(),
-            true_flags,
-        },
-        entries,
-    }
+        .map(|api| app.api(api).symbol.clone())
+        .unwrap_or_default()
 }
 
-impl ArmView {
-    fn names(&self, action: &str, symbol: &str) -> bool {
-        self.entries.iter().any(|(a, s)| a == action && s == symbol)
-    }
-
-    fn detected(&self, action: &str) -> bool {
-        self.entries.iter().any(|(a, _)| a == action)
-    }
-}
-
-/// The fleet spec both runtime arms share (they differ only in
-/// `config.causal_blame`).
-fn spec(seed: u64, executions: usize, db_year: u16, config: HangDoctorConfig) -> FleetSpec {
-    FleetSpec {
-        apps: async_hang_apps(),
-        profiles: DeviceProfile::default_set(),
-        devices_per_app: 3,
-        executions_per_action: executions,
-        root_seed: seed,
-        threads: 2,
-        config,
-        apidb_year: db_year,
-        faults: FaultConfig::none(),
-    }
-}
-
-/// Runs the three-arm async differential over the async hang corpus.
-pub fn run_async_differential(seed: u64, executions: usize, db_year: u16) -> AsyncDifferential {
+/// A fleet arm over the async corpus. Found = bugs whose culprit was
+/// blamed at its own action; marks `detected` (any row at the bug's
+/// action) and `join-site` (a row naming the join site there); tallies
+/// `control-rows`, the rows emitted for bug-free apps.
+pub fn fleet_arm(
+    truth: &Truth,
+    seed: u64,
+    executions: usize,
+    db_year: u16,
+    causal_blame: bool,
+) -> Arm {
     let corpus = async_hang_apps();
-    let db = BlockingApiDb::documented(db_year);
-    let sast_config = SastConfig {
-        profile: RuleProfile::Full,
-        db_year,
-    };
-    let causal_fleet = run_fleet(&spec(
-        seed,
-        executions,
-        db_year,
-        HangDoctorConfig::default(),
-    ));
-    let naive_config = HangDoctorConfig::builder()
-        .causal_blame(false)
+    let config = HangDoctorConfig::builder()
+        .causal_blame(causal_blame)
         .build()
-        .expect("default config with the walk off is valid");
-    let baseline_fleet = run_fleet(&spec(seed, executions, db_year, naive_config));
-    let mut apps = Vec::new();
-    for ((app, causal_summary), baseline_summary) in corpus
-        .iter()
-        .zip(&causal_fleet.merged.apps)
-        .zip(&baseline_fleet.merged.apps)
-    {
-        debug_assert_eq!(app.name, causal_summary.app);
-        debug_assert_eq!(app.name, baseline_summary.app);
-        let causal = arm_view(causal_summary, app);
-        let baseline = arm_view(baseline_summary, app);
-        let report = analyze_with_db(app, &db, &sast_config);
-        let statically_found = report.bug_ids();
-        let control_entries = if app.bugs.is_empty() {
-            causal.entries.len() + baseline.entries.len()
-        } else {
-            0
-        };
-        let outcomes = app
-            .bugs
-            .iter()
-            .map(|bug| {
-                let action = app.action(bug.action).expect("bug action exists");
-                let culprit = app.api(bug.api).symbol.clone();
-                // The join API of the bug's action — where the naive
-                // diagnosis lands.
-                let join_site = action
-                    .calls()
-                    .find_map(|c| c.async_op.as_ref().and_then(|o| o.join_api()))
-                    .map(|api| app.api(api).symbol.clone())
-                    .unwrap_or_default();
-                AsyncBugOutcome {
-                    id: bug.id.clone(),
-                    class: classify_bug(app, bug, db_year).as_str().to_string(),
-                    causal_detected: causal.detected(&action.name),
-                    causal_blamed_culprit: causal.names(&action.name, &culprit),
-                    baseline_detected: baseline.detected(&action.name),
-                    baseline_blamed_culprit: baseline.names(&action.name, &culprit),
-                    baseline_blamed_join_site: baseline.names(&action.name, &join_site),
-                    static_found: statically_found.contains(&bug.id),
-                    culprit,
-                    join_site,
-                }
-            })
+        .expect("default config with either blame mode is valid");
+    let fleet = corpus_fleet(&corpus, seed, executions, db_year, config);
+    let (mut flagged, mut true_flags, mut control_rows) = (0, 0, 0);
+    let (mut found, mut detected, mut joined) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    for (app, summary) in corpus.iter().zip(&fleet.merged.apps) {
+        debug_assert_eq!(app.name, summary.app);
+        let rows: Vec<(String, String)> = summary
+            .report
+            .entries()
+            .into_iter()
+            .map(|e| (e.action, e.symbol))
             .collect();
-        apps.push(AsyncAppDifferential {
-            app: app.name.clone(),
-            outcomes,
-            causal_precision: causal.precision,
-            baseline_precision: baseline.precision,
-            static_precision: ArmPrecision {
-                flagged: report.findings.len(),
-                true_flags: report
-                    .findings
-                    .iter()
-                    .filter(|f| f.bug_id.is_some())
-                    .count(),
-            },
-            control_entries,
-        });
+        flagged += rows.len();
+        true_flags += rows
+            .iter()
+            .filter(|(action, symbol)| {
+                app.bugs.iter().any(|b| {
+                    &app.api(b.api).symbol == symbol
+                        && app.action(b.action).is_some_and(|a| &a.name == action)
+                })
+            })
+            .count();
+        if app.bugs.is_empty() {
+            control_rows += rows.len() as u64;
+        }
+        for bug in &app.bugs {
+            let action = &app.action(bug.action).expect("bug action exists").name;
+            let join = join_site(app, bug);
+            if rows.iter().any(|(a, _)| a == action) {
+                detected.insert(bug.id.clone());
+            }
+            if rows.iter().any(|(a, s)| a == action && *s == join) {
+                joined.insert(bug.id.clone());
+            }
+        }
+        found.extend(bugs_reported(summary, app));
     }
-    AsyncDifferential::build(db_year, apps)
+    Arm::scored(ArmScore::of_bugs(truth, &found, flagged, true_flags))
+        .mark("detected", detected)
+        .mark("join-site", joined)
+        .tally("control-rows", control_rows)
+}
+
+/// The three-arm async differential over the async hang corpus.
+pub fn differential(seed: u64, executions: usize, db_year: u16) -> Differential<'static> {
+    let truth = corpus_truth(&async_hang_apps(), db_year);
+    let (causal, baseline, scan) = (truth.clone(), truth.clone(), truth.clone());
+    Differential::new("async-diff", seed)
+        .param("db_year", db_year as f64)
+        .param("executions", executions as f64)
+        .truth(truth)
+        .arm("causal", move || {
+            fleet_arm(&causal, seed, executions, db_year, true)
+        })
+        .arm("baseline", move || {
+            fleet_arm(&baseline, seed, executions, db_year, false)
+        })
+        .arm("static", move || {
+            scan_arm(&async_hang_apps(), &scan, RuleProfile::Full, db_year)
+        })
+        .invariant("both-fleets-detect-every-hang", |r| {
+            ["causal", "baseline"]
+                .iter()
+                .all(|arm| r.arm(arm).marked("detected").len() == r.truth.len())
+        })
+        .invariant("causal-blames-every-culprit", |r| {
+            r.arm("causal").score.hits == r.truth.len()
+        })
+        .invariant("baseline-lands-on-join-site", |r| {
+            let baseline = r.arm("baseline");
+            baseline.score.hits == 0 && baseline.marked("join-site").len() == r.truth.len()
+        })
+        .invariant("static-finds-nothing", |r| r.arm("static").score.hits == 0)
+        .invariant("controls-stay-silent", |r| {
+            r.arm("causal").count("control-rows") + r.arm("baseline").count("control-rows") == 0
+        })
 }
 
 /// Renders the per-bug async differential table.
-pub fn render_async_differential(d: &AsyncDifferential) -> String {
-    let verdict = |detected: bool, blamed: bool, join: bool| {
-        if blamed {
-            "culprit".to_string()
-        } else if join {
-            "join-site".to_string()
-        } else if detected {
-            "other".to_string()
+pub fn render(r: &DifferentialReport) -> String {
+    let (causal, baseline) = (r.arm("causal"), r.arm("baseline"));
+    let stat = &r.arm("static").score;
+    let verdict = |arm: &Arm, id: &str, join: bool| {
+        if arm.score.found.contains(id) {
+            "culprit"
+        } else if join && arm.marked("join-site").contains(id) {
+            "join-site"
+        } else if arm.marked("detected").contains(id) {
+            "other"
         } else {
-            "missed".to_string()
+            "missed"
         }
+        .to_string()
     };
-    let rows: Vec<Vec<String>> = d
-        .apps
+    let corpus = async_hang_apps();
+    let rows: Vec<Vec<String>> = corpus
         .iter()
         .flat_map(|app| {
-            app.outcomes.iter().map(|o| {
+            app.bugs.iter().map(|bug| {
                 vec![
-                    app.app.clone(),
-                    o.id.clone(),
-                    o.class.clone(),
-                    if o.static_found { "found" } else { "-" }.to_string(),
-                    verdict(
-                        o.baseline_detected,
-                        o.baseline_blamed_culprit,
-                        o.baseline_blamed_join_site,
-                    ),
-                    verdict(o.causal_detected, o.causal_blamed_culprit, false),
-                    o.culprit.clone(),
+                    app.name.clone(),
+                    bug.id.clone(),
+                    r.truth[&bug.id].clone(),
+                    if stat.found.contains(&bug.id) {
+                        "found"
+                    } else {
+                        "-"
+                    }
+                    .to_string(),
+                    verdict(baseline, &bug.id, true),
+                    verdict(causal, &bug.id, false),
+                    app.api(bug.api).symbol.clone(),
                 ]
             })
         })
         .collect();
-    let total = d.total_bugs;
+    let total = r.truth.len();
+    let recall = |found: usize| ClassRecall { found, total }.recall();
+    let (c, b) = (&causal.score, &baseline.score);
     format!(
         "Async differential — db {}, {} bugs over {} apps\n{}\n\
          detection: causal {:.2}, baseline {:.2}; blame: causal {:.2}, baseline {:.2} (Δ {:+.2})\n\
          blame precision: causal {:.3} ({}/{} rows), baseline {:.3} ({}/{} rows), Δ {:+.3}; static recall {:.2}\n\
          baseline join-site mis-blames: {}; control-app report rows: {}\n",
-        d.db_year,
+        r.param("db_year"),
         total,
-        d.apps.len(),
+        corpus.len(),
         render_table(
             &["app", "bug", "class", "static", "baseline", "causal", "culprit"],
             &rows
         ),
-        d.causal.detection_recall(total),
-        d.baseline.detection_recall(total),
-        d.causal.blame_recall(total),
-        d.baseline.blame_recall(total),
-        d.blame_delta(),
-        d.causal_precision.precision(),
-        d.causal_precision.true_flags,
-        d.causal_precision.flagged,
-        d.baseline_precision.precision(),
-        d.baseline_precision.true_flags,
-        d.baseline_precision.flagged,
-        d.precision_delta(),
-        d.static_recall(),
-        d.baseline.blamed_join_site,
-        d.control_entries,
+        recall(causal.marked("detected").len()),
+        recall(baseline.marked("detected").len()),
+        c.recall(),
+        b.recall(),
+        c.recall() - b.recall(),
+        c.precision(),
+        c.true_flags,
+        c.flagged,
+        b.precision(),
+        b.true_flags,
+        b.flagged,
+        c.precision() - b.precision(),
+        stat.recall(),
+        baseline.marked("join-site").len(),
+        causal.count("control-rows") + baseline.count("control-rows"),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_metrics::ASYNC_DIFFERENTIAL_SCHEMA;
 
     #[test]
     fn async_differential_separates_detection_from_blame() {
-        let d = run_async_differential(42, 4, 2017);
-        assert_eq!(d.schema, ASYNC_DIFFERENTIAL_SCHEMA);
-        assert_eq!(d.total_bugs, 3, "three ground-truthed async hangs");
-        // Both fleets detect every hang; only the causal walk places the
-        // blame on the worker-side culprit.
-        assert_eq!(d.causal.detected, d.total_bugs, "{:?}", d.causal);
-        assert_eq!(d.causal.blamed_culprit, d.total_bugs, "{:?}", d.causal);
-        assert_eq!(d.baseline.detected, d.total_bugs, "{:?}", d.baseline);
-        assert_eq!(d.baseline.blamed_culprit, 0, "{:?}", d.baseline);
-        assert_eq!(
-            d.baseline.blamed_join_site, d.total_bugs,
-            "{:?}",
-            d.baseline
-        );
-        // The static arm never sees a wait-edge hang.
-        assert_eq!(d.static_found, 0);
-        assert!(
-            d.apps
-                .iter()
-                .all(|a| a.static_precision.flagged == 0
-                    || a.outcomes.iter().all(|o| !o.static_found))
-        );
-        // Every scored bug carries the structural class.
-        for app in &d.apps {
-            for o in &app.outcomes {
-                assert_eq!(o.class, "async-hang", "{}", o.id);
-                assert_eq!(o.join_site, "java.util.concurrent.FutureTask.get");
+        let r = differential(42, 4, 2017).run();
+        assert!(r.passed(), "{}", render(&r));
+        assert_eq!(r.truth.len(), 3, "three ground-truthed async hangs");
+        // Every scored bug carries the structural class and the same
+        // join site.
+        for app in async_hang_apps() {
+            for bug in &app.bugs {
+                assert_eq!(r.truth[&bug.id], "async-hang", "{}", bug.id);
+                assert_eq!(join_site(&app, bug), "java.util.concurrent.FutureTask.get");
             }
         }
         // Blame-level precision collapses without the walk.
-        assert!((d.causal_precision.precision() - 1.0).abs() < 1e-9);
-        assert!(d.baseline_precision.precision() < 1e-9);
-        assert!((d.blame_delta() - 1.0).abs() < 1e-9);
-        // The negative control stays silent in both fleets.
-        assert_eq!(d.control_entries, 0);
-        let text = render_async_differential(&d);
+        assert!((r.arm("causal").score.precision() - 1.0).abs() < 1e-9);
+        assert!(r.arm("baseline").score.precision() < 1e-9);
+        let text = render(&r);
         assert!(text.contains("join-site"));
         assert!(text.contains("async-hang"));
     }

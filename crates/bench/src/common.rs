@@ -1,12 +1,16 @@
-//! Shared experiment machinery: run one app trace under one detector.
+//! Shared experiment machinery: run one app trace under one detector,
+//! the small fleet matrix the chaos and control differentials share,
+//! and the text-table renderer.
 
 use std::collections::HashSet;
 
-use hangdoctor::{HangDoctor, HangDoctorConfig, HdOutput, SharedApiDb};
+use hangdoctor::{FaultConfig, HangDoctor, HangDoctorConfig, HdOutput, SharedApiDb};
+use hd_appmodel::corpus::table5;
 use hd_appmodel::{build_run, App, CompiledApp, ExecTruth, Schedule};
 use hd_baselines::{
     install, DetectionLog, Detector, DetectorOutput, TimeoutDetector, UtilizationDetector,
 };
+use hd_fleet::{DeviceProfile, FleetSpec};
 use hd_metrics::OverheadReport;
 use hd_perfmon::CostModel;
 use hd_simrt::{ActionRecord, ExecId, MonitorCost, SimConfig, MILLIS};
@@ -158,6 +162,32 @@ pub fn run_detector_compiled(
         hd,
         monitor: run.sim.monitor_cost(),
         overhead: OverheadReport::from_sim(&run.sim),
+    }
+}
+
+/// The three study apps of the small fleet matrix: K9-mail,
+/// Omni-Notes, CycleStreets.
+pub fn trio() -> Vec<App> {
+    vec![
+        table5::k9mail(),
+        table5::omninotes(),
+        table5::cyclestreets(),
+    ]
+}
+
+/// The small fleet matrix: [`trio`] on two devices each, two workers,
+/// paper-default configuration.
+pub fn trio_fleet(seed: u64, executions: usize, faults: FaultConfig) -> FleetSpec {
+    FleetSpec {
+        apps: trio(),
+        profiles: DeviceProfile::default_set(),
+        devices_per_app: 2,
+        executions_per_action: executions,
+        root_seed: seed,
+        threads: 2,
+        config: HangDoctorConfig::default(),
+        apidb_year: 2017,
+        faults,
     }
 }
 

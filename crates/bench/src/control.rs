@@ -4,21 +4,21 @@
 //!
 //! The whole point of the control plane is that a threshold pushed over
 //! the wire is *the same configuration* as one a developer bakes into
-//! the build. This harness proves it: the identical fleet matrix runs
-//! twice — once with the retrained [`SymptomThresholds`] configured
-//! locally in the [`FleetSpec`], once with the paper defaults plus a
-//! full canary → expanded → full rollout pushed through a real loopback
-//! [`TelemetryServer`] in the `hang-doctor/control/v1` dialect — and
-//! the two detection outcomes (the merged fleet plus every per-device
-//! report; wall-clock timing excluded) must serialize to the **same
-//! bytes**. A third run with the untouched defaults must *differ*, so
-//! the gate cannot pass vacuously on a threshold that changes nothing.
+//! the build. Three arms run the identical fleet matrix: `local`
+//! configures the retrained [`SymptomThresholds`] in the [`FleetSpec`];
+//! `pushed` starts from the paper defaults and walks a full canary →
+//! expanded → full rollout through a real loopback [`TelemetryServer`]
+//! in the `hang-doctor/control/v1` dialect; `defaults` keeps the paper
+//! defaults untouched. The detection outcomes (the merged fleet plus
+//! every per-device report; wall-clock timing excluded) of `pushed` and
+//! `local` must serialize to the **same bytes**, and `defaults` must
+//! *differ*, so the gate cannot pass on a threshold that changes
+//! nothing.
 //!
-//! The chaos arm repeats the pushed run with control-frame loss, delay,
-//! and duplication injected at the given rate
-//! ([`CtrlFaultConfig::chaos`]): the client's resend/absorb recovery
-//! plus the controller's idempotent request semantics must deliver the
-//! byte-identical outcome anyway.
+//! At a nonzero chaos rate the `pushed` arm's control client loses,
+//! delays, and duplicates frames ([`CtrlFaultConfig::chaos`]): its
+//! resend/absorb recovery plus the controller's idempotent request
+//! semantics must deliver the byte-identical outcome anyway.
 //!
 //! ## The bench (`BENCH_control.json`)
 //!
@@ -41,10 +41,7 @@ use std::time::{Duration, Instant};
 use hangdoctor::{FaultConfig, HangDoctorConfig, SymptomThresholds};
 use hd_control::{CohortHealth, ControlAgent, RolloutSpec, RolloutStage, SyncReport};
 use hd_faults::CtrlFaultConfig;
-use hd_fleet::{
-    run_fleet_with_reports, run_fleet_with_reports_overridden, DeviceOverride, DeviceProfile,
-    FleetSpec, JobReport,
-};
+use hd_fleet::{run_fleet_with_reports_overridden, DeviceOverride, FleetSpec};
 use hd_metrics::percentile_u64;
 use hd_telemetry::{
     bench::synthetic_batch, ControlClient, PipelinedUploader, TelemetryError, TelemetryServer,
@@ -52,8 +49,8 @@ use hd_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 
-/// Schema tag of `CONTROL_differential.json`.
-pub const CONTROL_DIFF_SCHEMA: &str = "hang-doctor/control-differential/v1";
+use crate::common::{trio, trio_fleet};
+use crate::differential::{Arm, Differential, DifferentialReport};
 
 /// Schema tag of `BENCH_control.json`.
 pub const CONTROL_BENCH_SCHEMA: &str = "hang-doctor/control-bench/v1";
@@ -68,85 +65,10 @@ pub const INGEST_SNAPSHOT_REPORTS_PER_SEC: f64 = 110_000.0;
 /// stealing more than this much ingest is a regression anywhere.
 pub const INGEST_RETENTION_FLOOR: f64 = 0.80;
 
-/// Machine-readable result of one pushed-vs-local differential run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ControlDifferential {
-    /// Schema tag, bumped on incompatible changes.
-    pub schema: String,
-    /// Wire dialect the pushed arm negotiated.
-    pub dialect: String,
-    /// Root seed of the fleet matrix.
-    pub seed: u64,
-    /// Control-frame chaos rate of the pushed arm (0 = clean).
-    pub chaos_rate: f64,
-    /// Devices in the matrix.
-    pub devices: usize,
-    /// Rollout stages the push traversed, in order.
-    pub stages: Vec<String>,
-    /// The retrained thresholds both arms ran.
-    pub pushed: SymptomThresholds,
-    /// Devices whose final directives carried the pushed thresholds.
-    pub devices_directed: usize,
-    /// Control frames the fault plan destroyed outright.
-    pub frames_lost: u64,
-    /// Control frames the fault plan delayed.
-    pub frames_delayed: u64,
-    /// Control frames the fault plan duplicated.
-    pub frames_duplicated: u64,
-    /// Requests the client re-sent to recover a lost frame.
-    pub resends: u64,
-    /// Duplicate responses the client absorbed.
-    pub duplicates_absorbed: u64,
-    /// Whether pushed-arm detection matched the local arm byte-for-byte.
-    pub pushed_identical: bool,
-    /// Whether the untouched-defaults run differed from the local arm
-    /// (i.e. the pushed thresholds demonstrably change detection).
-    pub baseline_differs: bool,
-}
-
-impl ControlDifferential {
-    /// The differential passes only if the push reproduced the local
-    /// configuration exactly *and* the thresholds weren't a no-op.
-    pub fn passed(&self) -> bool {
-        self.pushed_identical && self.baseline_differs
-    }
-
-    /// Renders a human-readable summary.
-    pub fn render(&self) -> String {
-        format!(
-            "control differential (seed {}, chaos {:.2}): {} devices, rollout {} → \
-             {} directed — pushed {} local arm, baseline {} \
-             (lost {} / delayed {} / duplicated {} frames; {} resends, {} dup ACKs absorbed)\n\
-             verdict: {}",
-            self.seed,
-            self.chaos_rate,
-            self.devices,
-            self.stages.join(" → "),
-            self.devices_directed,
-            if self.pushed_identical {
-                "byte-identical to"
-            } else {
-                "DIVERGED from"
-            },
-            if self.baseline_differs {
-                "differs (thresholds are live)"
-            } else {
-                "IDENTICAL (vacuous push)"
-            },
-            self.frames_lost,
-            self.frames_delayed,
-            self.frames_duplicated,
-            self.resends,
-            self.duplicates_absorbed,
-            if self.passed() { "PASS" } else { "FAIL" },
-        )
-    }
-}
-
 /// The retrained thresholds the differential pushes: a
 /// stricter-precision filter than the paper default (every counter cut
 /// raised), aggressive enough to move detection outcomes on the study
-/// corpus (the `baseline_differs` leg asserts it does).
+/// corpus (the `defaults-differ-from-local` invariant checks it does).
 pub fn retrained_thresholds() -> SymptomThresholds {
     SymptomThresholds {
         context_switch_diff: 12.0,
@@ -155,70 +77,18 @@ pub fn retrained_thresholds() -> SymptomThresholds {
     }
 }
 
-/// The differential's fleet matrix: three study apps, two devices each,
-/// paper-default configuration.
-fn diff_spec(seed: u64) -> FleetSpec {
-    FleetSpec {
-        apps: vec![
-            hd_appmodel::corpus::table5::k9mail(),
-            hd_appmodel::corpus::table5::omninotes(),
-            hd_appmodel::corpus::table5::cyclestreets(),
-        ],
-        profiles: DeviceProfile::default_set(),
-        devices_per_app: 2,
-        executions_per_action: 4,
-        root_seed: seed,
-        threads: 2,
-        config: HangDoctorConfig::default(),
-        apidb_year: 2017,
-        faults: FaultConfig::none(),
-    }
+/// A fleet arm: the spec's detection outcome — the merged fleet plus
+/// every per-device job report, wall-clock timing excluded — as the
+/// canonical `outcome` output, under per-device config overrides.
+pub fn fleet_arm(spec: &FleetSpec, overrides: &BTreeMap<u32, DeviceOverride>) -> Arm {
+    let (report, jobs) = run_fleet_with_reports_overridden(spec, overrides);
+    Arm::default().output("outcome", &(&report.merged, &jobs))
 }
 
-/// Canonical bytes of a fleet run's *detection outcome*: the merged
-/// fleet plus every per-device job report, with wall-clock timing
-/// excluded (it can never be reproducible).
-fn outcome_bytes(merged: &hd_fleet::MergedFleet, jobs: &[JobReport]) -> String {
-    serde_json::to_string(&(merged, jobs)).expect("fleet outcome serializes")
-}
-
-/// The `(device, app)` matrix of a spec, in stable job-index order.
-fn device_apps(spec: &FleetSpec) -> Vec<(u32, String)> {
-    let mut out = Vec::with_capacity(spec.jobs());
-    for (app_idx, app) in spec.apps.iter().enumerate() {
-        for d in 0..spec.devices_per_app {
-            let index = app_idx * spec.devices_per_app as usize + d as usize;
-            out.push((index as u32 + 1, app.name.clone()));
-        }
-    }
-    out
-}
-
-/// Runs the pushed-vs-local differential at the given control-frame
-/// chaos rate (0 = clean).
-pub fn run_control_diff(seed: u64, chaos_rate: f64) -> ControlDifferential {
-    let spec = diff_spec(seed);
-    let pushed = retrained_thresholds();
-    let devices = device_apps(&spec);
-
-    // Arm A — the reference: the retrained thresholds configured
-    // locally, the way a developer would bake them into a build.
-    let local_config = HangDoctorConfig::builder()
-        .thresholds(pushed)
-        .build()
-        .expect("retrained thresholds pass builder validation");
-    let mut local_spec = spec.clone();
-    local_spec.config = local_config;
-    let (local_report, local_jobs) = run_fleet_with_reports(&local_spec);
-    let local_bytes = outcome_bytes(&local_report.merged, &local_jobs);
-
-    // Arm C — untouched defaults, to prove the thresholds are live.
-    let (default_report, default_jobs) = run_fleet_with_reports(&spec);
-    let baseline_differs = outcome_bytes(&default_report.merged, &default_jobs) != local_bytes;
-
-    // Arm B — the same thresholds pushed through a real loopback server
-    // with a full staged rollout, then materialized as per-device
-    // overrides on the *default* spec.
+/// The pushed arm: push `thresholds` through a loopback server as a
+/// full staged rollout — every device syncing once per stage — then run
+/// `spec` with each device's final directives as its config.
+fn pushed_arm(spec: &FleetSpec, thresholds: SymptomThresholds, chaos_rate: f64) -> Arm {
     let server = TelemetryServer::builder()
         .addr("127.0.0.1:0")
         .shards(2)
@@ -232,25 +102,23 @@ pub fn run_control_diff(seed: u64, chaos_rate: f64) -> ControlDifferential {
         CtrlFaultConfig::none()
     };
     // One client drives the whole fleet's sync traffic; device 0 keys
-    // its fault stream (the devices' own ids key nothing here — faults
-    // hit the shared control connection).
-    let mut ctl = ControlClient::with_faults(server.local_addr(), cfg, seed, 0);
-
-    let mut agents: Vec<ControlAgent> = devices
+    // its fault stream (faults hit the shared control connection).
+    let mut ctl = ControlClient::with_faults(server.local_addr(), cfg, spec.root_seed, 0);
+    let mut agents: Vec<ControlAgent> = spec
+        .apps
         .iter()
-        .map(|(device, app)| ControlAgent::new(*device, app, spec.config.clone()))
+        .flat_map(|app| (0..spec.devices_per_app).map(move |_| app))
+        .enumerate()
+        .map(|(index, app)| ControlAgent::new(index as u32 + 1, &app.name, spec.config.clone()))
         .collect();
-
-    let baseline = spec.config.thresholds;
     ctl.push_thresholds(RolloutSpec {
-        thresholds: pushed,
-        baseline,
+        thresholds,
+        baseline: spec.config.thresholds,
     })
     .expect("push rollout");
-
     // Stage by stage: advance, then one healthy sync round so every
     // covered device picks up its directives.
-    let mut stages = Vec::new();
+    let mut stages = 0;
     for stage in RolloutStage::ALL {
         let status = if stage == RolloutStage::Canary {
             // PushThresholds starts the rollout at canary.
@@ -259,7 +127,7 @@ pub fn run_control_diff(seed: u64, chaos_rate: f64) -> ControlDifferential {
             ctl.advance_rollout(stage).expect("advance rollout")
         };
         assert!(!status.rolled_back, "healthy fleet must not roll back");
-        stages.push(status.stage);
+        stages += 1;
         for agent in &mut agents {
             let directives = ctl.sync(agent.sync_report()).expect("sync device");
             agent
@@ -272,40 +140,92 @@ pub fn run_control_diff(seed: u64, chaos_rate: f64) -> ControlDifferential {
     server.join();
 
     // Materialize the final directives as per-device overrides.
-    let base_bytes = serde_json::to_string(&spec.config).expect("config serializes");
-    let mut overrides: BTreeMap<u32, DeviceOverride> = BTreeMap::new();
-    for agent in &agents {
-        if serde_json::to_string(agent.config()).expect("config serializes") != base_bytes {
-            overrides.insert(
-                agent.device(),
+    let base = serde_json::to_string(&spec.config).expect("config serializes");
+    let overrides: BTreeMap<u32, DeviceOverride> = agents
+        .iter()
+        .filter(|a| serde_json::to_string(a.config()).expect("config serializes") != base)
+        .map(|a| {
+            let config = Some(a.config().clone());
+            (
+                a.device(),
                 DeviceOverride {
-                    config: Some(agent.config().clone()),
+                    config,
                     faults: None,
                 },
-            );
-        }
-    }
-    let devices_directed = overrides.len();
-    let (pushed_report, pushed_jobs) = run_fleet_with_reports_overridden(&spec, &overrides);
-    let pushed_identical = outcome_bytes(&pushed_report.merged, &pushed_jobs) == local_bytes;
+            )
+        })
+        .collect();
+    fleet_arm(spec, &overrides)
+        .tally("stages", stages)
+        .tally("directed", overrides.len() as u64)
+        .tally("frames-lost", tally.frames_lost)
+        .tally("frames-delayed", tally.frames_delayed)
+        .tally("frames-duplicated", tally.frames_duplicated)
+        .tally("resends", tally.resends)
+        .tally("duplicates-absorbed", tally.duplicates_absorbed)
+}
 
-    ControlDifferential {
-        schema: CONTROL_DIFF_SCHEMA.to_string(),
-        dialect: hd_control::CONTROL_SCHEMA.to_string(),
-        seed,
-        chaos_rate,
-        devices: devices.len(),
-        stages,
-        pushed,
-        devices_directed,
-        frames_lost: tally.frames_lost,
-        frames_delayed: tally.frames_delayed,
-        frames_duplicated: tally.frames_duplicated,
-        resends: tally.resends,
-        duplicates_absorbed: tally.duplicates_absorbed,
-        pushed_identical,
-        baseline_differs,
-    }
+/// The pushed-vs-local differential at the given control-frame chaos
+/// rate (0 = clean).
+pub fn differential(seed: u64, chaos_rate: f64) -> Differential<'static> {
+    let spec = trio_fleet(seed, 4, FaultConfig::none());
+    let pushed = retrained_thresholds();
+    let mut local = spec.clone();
+    local.config = HangDoctorConfig::builder()
+        .thresholds(pushed)
+        .build()
+        .expect("retrained thresholds pass builder validation");
+    let defaults = spec.clone();
+    Differential::new("control-diff", seed)
+        .param("chaos_rate", chaos_rate)
+        .param("devices", spec.jobs() as f64)
+        .param("pushed.context_switch_diff", pushed.context_switch_diff)
+        .param("pushed.task_clock_diff", pushed.task_clock_diff)
+        .param("pushed.page_fault_diff", pushed.page_fault_diff)
+        .arm("local", move || fleet_arm(&local, &BTreeMap::new()))
+        .arm("pushed", move || pushed_arm(&spec, pushed, chaos_rate))
+        .arm("defaults", move || fleet_arm(&defaults, &BTreeMap::new()))
+        .invariant("pushed-matches-local", |r| {
+            r.arm("pushed").out("outcome") == r.arm("local").out("outcome")
+        })
+        .invariant("defaults-differ-from-local", |r| {
+            r.arm("defaults").out("outcome") != r.arm("local").out("outcome")
+        })
+}
+
+/// Renders the differential's summary.
+pub fn render(r: &DifferentialReport) -> String {
+    let pushed = r.arm("pushed");
+    let stages: Vec<&str> = RolloutStage::ALL
+        .iter()
+        .take(pushed.count("stages") as usize)
+        .map(|s| s.name())
+        .collect();
+    format!(
+        "control differential (seed {}, chaos {:.2}): {} devices, rollout {} → \
+         {} directed — pushed {} local arm, baseline {} \
+         (lost {} / delayed {} / duplicated {} frames; {} resends, {} dup ACKs absorbed)",
+        r.seed,
+        r.param("chaos_rate"),
+        r.param("devices"),
+        stages.join(" → "),
+        pushed.count("directed"),
+        if r.holds("pushed-matches-local") {
+            "byte-identical to"
+        } else {
+            "DIVERGED from"
+        },
+        if r.holds("defaults-differ-from-local") {
+            "differs (thresholds are live)"
+        } else {
+            "IDENTICAL (vacuous push)"
+        },
+        pushed.count("frames-lost"),
+        pushed.count("frames-delayed"),
+        pushed.count("frames-duplicated"),
+        pushed.count("resends"),
+        pushed.count("duplicates-absorbed"),
+    )
 }
 
 /// Machine-readable result of one control-under-ingest-load run.
@@ -614,11 +534,7 @@ pub fn run_control_probe(
     use hd_simrt::SimConfig;
 
     let mut ctl = control_client(addr, seed, chaos);
-    let apps = [
-        hd_appmodel::corpus::table5::k9mail(),
-        hd_appmodel::corpus::table5::omninotes(),
-        hd_appmodel::corpus::table5::cyclestreets(),
-    ];
+    let apps = trio();
     let mut synced = 0usize;
     for (i, app) in apps.iter().enumerate() {
         let dev = i as u32 + 1;
@@ -772,26 +688,28 @@ mod tests {
 
     #[test]
     fn clean_differential_is_byte_identical_and_non_vacuous() {
-        let diff = run_control_diff(42, 0.0);
-        assert_eq!(diff.schema, CONTROL_DIFF_SCHEMA);
-        assert_eq!(diff.dialect, "hang-doctor/control/v1");
-        assert_eq!(diff.stages, vec!["canary", "expanded", "full"]);
-        assert_eq!(diff.devices_directed, diff.devices);
-        assert!(diff.pushed_identical, "{}", diff.render());
-        assert!(diff.baseline_differs, "{}", diff.render());
-        assert!(diff.passed());
-        assert_eq!(diff.frames_lost, 0);
+        let r = differential(42, 0.0).run();
+        assert!(r.passed(), "{}", render(&r));
+        let pushed = r.arm("pushed");
+        assert_eq!(pushed.count("stages"), RolloutStage::ALL.len() as u64);
+        assert_eq!(pushed.count("directed") as f64, r.param("devices"));
+        assert_eq!(pushed.count("frames-lost"), 0);
+        assert!(render(&r).contains("canary → expanded → full"));
     }
 
     #[test]
     fn chaotic_differential_recovers_to_the_same_bytes() {
-        let diff = run_control_diff(42, 0.4);
-        assert!(diff.passed(), "{}", diff.render());
+        let r = differential(42, 0.4).run();
+        assert!(r.passed(), "{}", render(&r));
+        let pushed = r.arm("pushed");
         assert!(
-            diff.frames_lost + diff.frames_delayed + diff.frames_duplicated > 0,
+            pushed.count("frames-lost")
+                + pushed.count("frames-delayed")
+                + pushed.count("frames-duplicated")
+                > 0,
             "chaos at 0.4 must actually injure the control stream"
         );
-        assert!(diff.resends >= diff.frames_lost);
+        assert!(pushed.count("resends") >= pushed.count("frames-lost"));
     }
 
     #[test]
@@ -803,7 +721,7 @@ mod tests {
         let canary = (1u32..10_000)
             .find(|&d| device_bucket(d) < RolloutStage::Canary.cutoff())
             .expect("some device hashes into the canary cohort");
-        let mut spec = diff_spec(7);
+        let mut spec = trio_fleet(7, 4, FaultConfig::none());
         spec.apps = vec![hd_appmodel::corpus::table5::k9mail()];
         spec.devices_per_app = canary + 4;
         spec.threads = 4;

@@ -23,24 +23,39 @@
 //!
 //! [`ablation`] adds studies of the design choices (phase-2-only,
 //! single-counter filters, begin-of-action sampling, threshold and
-//! sampling-period sweeps), and [`chaos`] the chaos-vs-clean
-//! differential quantifying precision/recall loss per injected fault
-//! category. [`sast`] runs the interprocedural static analyzer over the
-//! corpus and the static↔runtime differential scoring both detection
-//! arms per offline-failure-mode bug class. [`async_diff`] races the
-//! causal blame walk against the naive join-site diagnosis and the
-//! static scanner over the wait-edge hang corpus. [`control`] proves a
-//! threshold pushed through the `hang-doctor/control/v1` dialect
-//! (staged canary rollout included) reproduces the locally-configured
-//! detection outcome byte-for-byte, and benches control round trips
-//! under full ingest load. The `repro` binary drives everything from
-//! the command line.
+//! sampling-period sweeps). [`sast`] runs the interprocedural static
+//! analyzer over the corpus and benches the parallel scanner.
+//!
+//! Every arm-vs-arm comparison runs on one [`differential`] runner —
+//! arms are closures yielding scored outcomes, invariants are named
+//! predicates, the artifact is `hang-doctor/differential/v1`, and a
+//! failed invariant is a nonzero exit:
+//!
+//! * [`chaos`] — clean vs one arm per fault category vs all: the clean
+//!   baseline detects bugs, and timer jitter needs no recovery;
+//! * [`sast`] `sast-diff` — static vs runtime: known bugs are all found
+//!   statically, the three offline failure modes only at runtime;
+//! * [`sast`] `sast-prec-diff` — full vs contextual vs perfchecker-compat:
+//!   contextual removes false positives, loses no true positive, and
+//!   covers compat;
+//! * [`async_diff`] — causal vs baseline vs static: causal blame names
+//!   every worker culprit, the baseline lands on the join site, static
+//!   finds nothing, the negative control stays silent;
+//! * [`control`] — local vs pushed vs default thresholds: pushed equals
+//!   local byte-for-byte and differs from the defaults;
+//! * [`telemetry`] loopback and cluster — networked vs in-process
+//!   aggregation, and the N-node fold vs one store across
+//!   kill-and-restart: byte-identical.
+//!
+//! [`control`] also benches control round trips under full ingest
+//! load. The `repro` binary drives everything from one command table.
 
 pub mod ablation;
 pub mod async_diff;
 pub mod chaos;
 pub mod common;
 pub mod control;
+pub mod differential;
 pub mod fig1;
 pub mod fig2b;
 pub mod fig4;
@@ -56,5 +71,6 @@ pub mod table3;
 pub mod table4;
 pub mod table5;
 pub mod table6;
+pub mod telemetry;
 
 pub use common::{render_table, run_detector, run_detector_compiled, DetectorKind, RunOutcome};

@@ -4,25 +4,26 @@
 //!
 //! The scan runs the interprocedural analyzer over every corpus app and
 //! packages the per-app reports (the `repro sast` artifact). The
-//! differential races the full-profile static scan against a Hang Doctor
-//! fleet on the same corpus and scores both arms against ground truth
-//! per bug class: the paper's three offline failure modes — unknown
-//! APIs, closed-source libraries, self-developed lengthy operations —
-//! must fall out as exactly the classes static analysis misses while
-//! runtime detection catches them. The precision differential
-//! (`repro sast-prec-diff`) scores all three rule profiles against
-//! fleet-confirmed ground truth, materializing the context-sensitivity
-//! claim: false positives removed versus the `full` baseline, zero true
-//! positives lost. The benchmark (`repro sast-bench`) sweeps the strided
-//! parallel scanner over the 114-app study corpus.
+//! static↔runtime differential (`repro sast-diff`) races the
+//! full-profile static scan against a Hang Doctor fleet on the same
+//! corpus and scores both arms against ground truth per bug class: the
+//! paper's three offline failure modes — unknown APIs, closed-source
+//! libraries, self-developed lengthy operations — must fall out as
+//! exactly the classes static analysis misses while runtime detection
+//! catches them. The precision differential (`repro sast-prec-diff`)
+//! scores all three rule profiles against fleet-confirmed ground truth:
+//! the contextual arm must remove false positives versus `full` and
+//! lose no true positive. The benchmark (`repro sast-bench`) sweeps the
+//! strided parallel scanner over the 114-app study corpus.
+
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use hangdoctor::{BlockingApiDb, FaultConfig, HangDoctorConfig};
 use hd_appmodel::corpus::{differential_corpus, full_corpus};
-use hd_fleet::{bugs_reported, run_fleet, DeviceProfile, FleetSpec};
-use hd_metrics::{
-    AppArm, AppDifferential, AppPrecision, ArmPrecision, BugOutcome, PrecisionDifferential,
-    SastDifferential,
-};
+use hd_appmodel::App;
+use hd_fleet::{bugs_reported, run_fleet, DeviceProfile, FleetReport, FleetSpec};
+use hd_metrics::{ArmScore, Truth};
 use hd_sast::{
     analyze_with_db, bench_sweep, classify_bug, scan_corpus, RuleProfile, SastBench, SastConfig,
     SastReport, Severity,
@@ -30,6 +31,7 @@ use hd_sast::{
 use serde::{Deserialize, Serialize};
 
 use crate::common::render_table;
+use crate::differential::{Arm, Differential, DifferentialReport};
 
 /// The corpus-wide scan artifact `repro sast` emits: one analyzer
 /// report per app (each carrying the `hang-doctor/sast/v1` schema tag).
@@ -147,183 +149,243 @@ pub fn render_bench(bench: &SastBench) -> String {
     )
 }
 
-/// Runs the static↔runtime differential: a full-profile scan and a Hang
-/// Doctor fleet over the same corpus, scored per bug class.
-pub fn run_differential(seed: u64, executions: usize, db_year: u16) -> SastDifferential {
-    let corpus = differential_corpus();
-    let db = BlockingApiDb::documented(db_year);
-    let config = SastConfig {
-        profile: RuleProfile::Full,
-        db_year,
-    };
-    let fleet = run_fleet(&FleetSpec {
-        apps: corpus.clone(),
-        profiles: DeviceProfile::default_set(),
-        devices_per_app: 3,
-        executions_per_action: executions,
-        root_seed: seed,
-        threads: 2,
-        config: HangDoctorConfig::default(),
-        apidb_year: db_year,
-        faults: FaultConfig::none(),
-    });
-    let mut apps = Vec::new();
-    for (app, summary) in corpus.iter().zip(&fleet.merged.apps) {
-        debug_assert_eq!(app.name, summary.app);
-        let report = analyze_with_db(app, &db, &config);
-        let statically_found = report.bug_ids();
-        let runtime_found = bugs_reported(summary, app);
-        let outcomes = app
-            .bugs
-            .iter()
-            .map(|bug| BugOutcome {
-                id: bug.id.clone(),
-                class: classify_bug(app, bug, db_year).as_str().to_string(),
-                static_found: statically_found.contains(&bug.id),
-                runtime_found: runtime_found.contains(&bug.id),
+/// Every ground-truth bug of `corpus` → its offline-failure-mode class.
+pub fn corpus_truth(corpus: &[App], db_year: u16) -> Truth {
+    corpus
+        .iter()
+        .flat_map(|app| {
+            app.bugs.iter().map(move |bug| {
+                let class = classify_bug(app, bug, db_year).as_str().to_string();
+                (bug.id.clone(), class)
             })
-            .collect();
-        apps.push(AppDifferential {
-            app: app.name.clone(),
-            outcomes,
-            static_precision: ArmPrecision {
-                flagged: report.findings.len(),
-                true_flags: report
-                    .findings
-                    .iter()
-                    .filter(|f| f.bug_id.is_some())
-                    .count(),
-            },
-            runtime_precision: ArmPrecision {
-                flagged: summary.confusion.tp + summary.confusion.fp,
-                true_flags: summary.confusion.tp,
-            },
-        });
-    }
-    SastDifferential::build(db_year, apps)
+        })
+        .collect()
 }
 
-/// Runs the three-arm precision differential: every rule profile scans
-/// the differential corpus, and each arm's findings are scored against
-/// the bugs a Hang Doctor fleet confirms on the same corpus.
-pub fn run_precision_differential(
+/// A scanner arm: `profile` scans `corpus`; a finding is a true flag
+/// when it names a bug in `truth`.
+pub fn scan_arm(corpus: &[App], truth: &Truth, profile: RuleProfile, db_year: u16) -> Arm {
+    let db = BlockingApiDb::documented(db_year);
+    let config = SastConfig { profile, db_year };
+    let (mut flagged, mut true_flags) = (0, 0);
+    let mut found = BTreeSet::new();
+    for app in corpus {
+        let report = analyze_with_db(app, &db, &config);
+        flagged += report.findings.len();
+        true_flags += report
+            .findings
+            .iter()
+            .filter(|f| f.bug_id.as_ref().is_some_and(|id| truth.contains_key(id)))
+            .count();
+        found.extend(report.bug_ids());
+    }
+    Arm::scored(ArmScore::of_bugs(truth, &found, flagged, true_flags))
+}
+
+/// The Hang Doctor fleet the sast and async differentials run over
+/// `corpus`: three devices per app, two workers.
+pub(crate) fn corpus_fleet(
+    corpus: &[App],
     seed: u64,
     executions: usize,
     db_year: u16,
-) -> PrecisionDifferential {
-    let corpus = differential_corpus();
-    let db = BlockingApiDb::documented(db_year);
-    let fleet = run_fleet(&FleetSpec {
-        apps: corpus.clone(),
+    config: HangDoctorConfig,
+) -> FleetReport {
+    run_fleet(&FleetSpec {
+        apps: corpus.to_vec(),
         profiles: DeviceProfile::default_set(),
         devices_per_app: 3,
         executions_per_action: executions,
         root_seed: seed,
         threads: 2,
-        config: HangDoctorConfig::default(),
+        config,
         apidb_year: db_year,
         faults: FaultConfig::none(),
-    });
-    let mut apps = Vec::new();
-    for (app, summary) in corpus.iter().zip(&fleet.merged.apps) {
-        debug_assert_eq!(app.name, summary.app);
-        let fleet_confirmed = bugs_reported(summary, app);
-        let arms = RuleProfile::ALL
-            .iter()
-            .map(|&profile| {
-                let report = analyze_with_db(app, &db, &SastConfig { profile, db_year });
-                let true_flags = report
-                    .findings
-                    .iter()
-                    .filter(|f| {
-                        f.bug_id
-                            .as_ref()
-                            .is_some_and(|id| fleet_confirmed.contains(id))
-                    })
-                    .count();
-                AppArm {
-                    profile: profile.as_str().to_string(),
-                    flagged: report.findings.len(),
-                    true_flags,
-                    bugs_found: report
-                        .bug_ids()
-                        .into_iter()
-                        .filter(|id| fleet_confirmed.contains(id))
-                        .collect(),
-                }
+    })
+}
+
+/// The bugs each app's merged fleet report attributes, corpus-wide.
+fn fleet_found(corpus: &[App], fleet: &FleetReport) -> BTreeSet<String> {
+    corpus
+        .iter()
+        .zip(&fleet.merged.apps)
+        .flat_map(|(app, summary)| bugs_reported(summary, app))
+        .collect()
+}
+
+/// The runtime arm: a Hang Doctor fleet over `corpus`, flagging action
+/// executions and reporting the bugs its merged report attributes.
+fn runtime_arm(corpus: &[App], truth: &Truth, seed: u64, executions: usize, db_year: u16) -> Arm {
+    let fleet = corpus_fleet(
+        corpus,
+        seed,
+        executions,
+        db_year,
+        HangDoctorConfig::default(),
+    );
+    let c = &fleet.merged.confusion;
+    Arm::scored(ArmScore::of_bugs(
+        truth,
+        &fleet_found(corpus, &fleet),
+        c.tp + c.fp,
+        c.tp,
+    ))
+}
+
+/// The offline failure modes static analysis structurally misses.
+const FAILURE_MODES: [&str; 3] = ["unknown-api", "closed-source", "self-developed"];
+
+/// The static↔runtime differential: the full-profile scan (`static`)
+/// and a Hang Doctor fleet (`runtime`) over the differential corpus,
+/// scored per bug class.
+pub fn static_runtime_differential(
+    seed: u64,
+    executions: usize,
+    db_year: u16,
+) -> Differential<'static> {
+    let corpus = Rc::new(differential_corpus());
+    let truth = corpus_truth(&corpus, db_year);
+    let (scan_corpus, scan_truth) = (corpus.clone(), truth.clone());
+    let run_truth = truth.clone();
+    Differential::new("sast-diff", seed)
+        .param("db_year", db_year as f64)
+        .param("executions", executions as f64)
+        .truth(truth)
+        .arm("static", move || {
+            scan_arm(&scan_corpus, &scan_truth, RuleProfile::Full, db_year)
+        })
+        .arm("runtime", move || {
+            runtime_arm(&corpus, &run_truth, seed, executions, db_year)
+        })
+        .invariant("known-bugs-found-statically", |r| {
+            let known = r.arm("static").score.class("known");
+            known.total > 0 && known.found == known.total
+        })
+        .invariant("failure-modes-runtime-only", |r| {
+            FAILURE_MODES.iter().all(|class| {
+                r.arm("static").score.class(class).found == 0
+                    && r.arm("runtime").score.class(class).found > 0
             })
-            .collect();
-        apps.push(AppPrecision {
-            app: app.name.clone(),
-            bug_classes: app
-                .bugs
-                .iter()
-                .map(|bug| {
-                    (
-                        bug.id.clone(),
-                        classify_bug(app, bug, db_year).as_str().to_string(),
-                    )
-                })
-                .collect(),
-            fleet_confirmed,
-            arms,
+        })
+}
+
+/// The three-arm precision differential: every rule profile scans the
+/// differential corpus and is scored against the bugs a Hang Doctor
+/// fleet confirms on the same corpus (the fleet runs here, up front:
+/// it is the ground truth, not an arm).
+pub fn precision_differential(seed: u64, executions: usize, db_year: u16) -> Differential<'static> {
+    let corpus = Rc::new(differential_corpus());
+    let confirmed = fleet_found(
+        &corpus,
+        &corpus_fleet(
+            &corpus,
+            seed,
+            executions,
+            db_year,
+            HangDoctorConfig::default(),
+        ),
+    );
+    let truth: Truth = corpus_truth(&corpus, db_year)
+        .into_iter()
+        .filter(|(id, _)| confirmed.contains(id))
+        .collect();
+    let mut diff = Differential::new("sast-prec-diff", seed)
+        .param("db_year", db_year as f64)
+        .param("executions", executions as f64)
+        .truth(truth.clone());
+    for profile in RuleProfile::ALL {
+        let (corpus, truth) = (corpus.clone(), truth.clone());
+        diff = diff.arm(profile.as_str(), move || {
+            scan_arm(&corpus, &truth, profile, db_year)
         });
     }
-    PrecisionDifferential::build(db_year, apps)
+    diff.invariant("contextual-removes-false-positives", |r| {
+        r.arm("contextual").score.false_flags() < r.arm("full").score.false_flags()
+    })
+    .invariant("contextual-loses-no-true-positive", |r| {
+        let ctx = &r.arm("contextual").score.found;
+        r.arm("full").score.found.is_subset(ctx)
+    })
+    .invariant("contextual-covers-compat", |r| {
+        let ctx = &r.arm("contextual").score.found;
+        r.arm("perfchecker-compat").score.found.is_subset(ctx)
+    })
 }
 
 /// Renders the per-arm precision table.
-pub fn render_precision(d: &PrecisionDifferential) -> String {
-    let rows: Vec<Vec<String>> = d
+pub fn render_precision(r: &DifferentialReport) -> String {
+    let rows: Vec<Vec<String>> = r
         .arms
         .iter()
-        .map(|a| {
+        .map(|arm| {
+            let s = &arm.score;
             vec![
-                a.profile.clone(),
-                a.precision.flagged.to_string(),
-                a.precision.true_flags.to_string(),
-                a.false_flags.to_string(),
-                format!("{:.3}", a.precision.precision()),
-                a.bugs_found.len().to_string(),
+                arm.name.clone(),
+                s.flagged.to_string(),
+                s.true_flags.to_string(),
+                s.false_flags().to_string(),
+                format!("{:.3}", s.precision()),
+                s.found.len().to_string(),
             ]
         })
         .collect();
+    let full = &r.arm("full").score;
+    let ctx = &r.arm("contextual").score;
+    let compat = &r.arm("perfchecker-compat").score;
     format!(
         "Three-arm precision differential — db {}, {} fleet-confirmed bugs\n{}\ncontextual vs full: {} false positives removed, {} true positives lost\ncontextual vs compat: {} additional confirmed bugs\n",
-        d.db_year,
-        d.fleet_confirmed.len(),
+        r.param("db_year"),
+        r.truth.len(),
         render_table(
             &["arm", "flagged", "true", "false", "precision", "bugs"],
             &rows
         ),
-        d.removed_false_positives,
-        d.lost_true_positives.len(),
-        d.gained_over_compat.len(),
+        full.false_flags().saturating_sub(ctx.false_flags()),
+        full.found.difference(&ctx.found).count(),
+        ctx.found.difference(&compat.found).count(),
     )
 }
 
-/// Renders the per-class differential table.
-pub fn render_differential(d: &SastDifferential) -> String {
-    let rows: Vec<Vec<String>> = d
+/// Renders the per-class static↔runtime table.
+pub fn render_differential(r: &DifferentialReport) -> String {
+    let stat = &r.arm("static").score;
+    let run = &r.arm("runtime").score;
+    let rows: Vec<Vec<String>> = stat
         .classes
-        .iter()
-        .map(|c| {
-            vec![
-                c.class.clone(),
-                c.total.to_string(),
-                format!("{:.2}", c.static_recall()),
-                format!("{:.2}", c.runtime_recall()),
-                c.both.to_string(),
-                c.static_only.to_string(),
-                c.runtime_only.to_string(),
-                c.neither.to_string(),
-                format!("{:+.2}", c.recall_delta()),
-            ]
+        .keys()
+        .map(|class| {
+            // Overlap and complement counts: both, static-only,
+            // runtime-only, neither.
+            let mut split = [0usize; 4];
+            for id in r
+                .truth
+                .iter()
+                .filter(|(_, c)| *c == class)
+                .map(|(id, _)| id)
+            {
+                let slot = match (stat.found.contains(id), run.found.contains(id)) {
+                    (true, true) => 0,
+                    (true, false) => 1,
+                    (false, true) => 2,
+                    (false, false) => 3,
+                };
+                split[slot] += 1;
+            }
+            let (s, t) = (stat.class(class), run.class(class));
+            let mut row = vec![
+                class.clone(),
+                s.total.to_string(),
+                format!("{:.2}", s.recall()),
+                format!("{:.2}", t.recall()),
+            ];
+            row.extend(split.iter().map(|n| n.to_string()));
+            row.push(format!("{:+.2}", t.recall() - s.recall()));
+            row
         })
         .collect();
     format!(
         "Static↔runtime differential — db {}\n{}\nprecision: static {:.3} ({}/{} findings), runtime {:.3} ({}/{} flags), Δ {:+.3}\noverall Δrecall {:+.3}; runtime-only bugs: {}\n",
-        d.db_year,
+        r.param("db_year"),
         render_table(
             &[
                 "class",
@@ -338,15 +400,15 @@ pub fn render_differential(d: &SastDifferential) -> String {
             ],
             &rows
         ),
-        d.static_precision.precision(),
-        d.static_precision.true_flags,
-        d.static_precision.flagged,
-        d.runtime_precision.precision(),
-        d.runtime_precision.true_flags,
-        d.runtime_precision.flagged,
-        d.precision_delta(),
-        d.recall_delta(),
-        d.runtime_only.len(),
+        stat.precision(),
+        stat.true_flags,
+        stat.flagged,
+        run.precision(),
+        run.true_flags,
+        run.flagged,
+        run.precision() - stat.precision(),
+        run.recall() - stat.recall(),
+        run.found.difference(&stat.found).count(),
     )
 }
 
@@ -383,24 +445,13 @@ mod tests {
 
     #[test]
     fn differential_shows_the_three_failure_modes() {
-        let d = run_differential(42, 4, 2017);
-        // Known-API bugs: static analysis finds every one.
-        let known = d.class("known").expect("known class present");
-        assert!(
-            (known.static_recall() - 1.0).abs() < 1e-9,
-            "static must find all known bugs: {known:?}"
-        );
-        // The paper's three failure modes are exactly the classes static
-        // analysis misses entirely while the runtime fleet catches them.
-        for class in ["unknown-api", "closed-source", "self-developed"] {
-            let c = d.class(class).expect(class);
-            assert_eq!(c.static_found, 0, "{class} must be invisible statically");
-            assert!(c.runtime_found > 0, "{class} must be caught at runtime");
-        }
-        // Complement sets agree: nothing static-only outside the known
-        // class, and the runtime-only set is non-empty.
-        assert!(!d.runtime_only.is_empty());
-        let text = render_differential(&d);
+        // The invariants carry the claim: known bugs are all found
+        // statically; the three failure modes only at runtime.
+        let r = static_runtime_differential(42, 4, 2017).run();
+        assert!(r.passed(), "{}", render_differential(&r));
+        let runtime_only = &r.arm("runtime").score.found - &r.arm("static").score.found;
+        assert!(!runtime_only.is_empty());
+        let text = render_differential(&r);
         assert!(text.contains("closed-source"));
         assert!(text.contains("Δrecall"));
     }
@@ -421,45 +472,22 @@ mod tests {
 
     #[test]
     fn precision_differential_removes_false_positives_without_recall_loss() {
-        // The tentpole acceptance bar: the contextual arm must strictly
-        // improve on the full baseline (Δfalse-positives > 0) while
-        // covering every fleet-confirmed bug the baseline covers, and it
-        // must keep the interprocedural recall the legacy scanner lacks.
-        let d = run_precision_differential(42, 4, 2017);
-        assert!(
-            d.removed_false_positives > 0,
-            "contextual must remove shared-wrapper false positives: {:?}",
-            d.arms
-        );
-        assert!(
-            d.lost_true_positives.is_empty(),
-            "zero recall loss required: {:?}",
-            d.lost_true_positives
-        );
-        assert!(d.refinement_holds());
-        // No recall regression against the legacy scanner either: every
-        // fleet-confirmed bug compat catches, contextual catches. (The
-        // converse gap is structurally empty on this corpus — a bug the
-        // legacy per-chain scan misses has an invisible chain, and the
-        // summary walk stops at the same closed boundary.)
-        let ctx = d.arm("contextual").unwrap();
-        let compat = d.arm("perfchecker-compat").unwrap();
-        assert!(
-            compat.bugs_found.is_subset(&ctx.bugs_found),
-            "contextual must cover the legacy scanner's bugs: {:?}",
-            compat.bugs_found.difference(&ctx.bugs_found)
-        );
+        // The invariants carry the acceptance bar: contextual removes
+        // false positives versus full, loses no fleet-confirmed bug, and
+        // covers everything the legacy scanner catches.
+        let r = precision_differential(42, 4, 2017).run();
+        assert!(r.passed(), "{}", render_precision(&r));
         // The shared-wrapper apps' bugs are runtime-confirmed and caught
         // by every arm (their chains are fully open).
         for bug in ["notekeeper-4-sync", "photobox-11-export"] {
-            assert!(d.fleet_confirmed.contains(bug), "{bug} not confirmed");
-            for arm in &d.arms {
-                assert!(arm.bugs_found.contains(bug), "{} missed {bug}", arm.profile);
+            assert!(r.truth.contains_key(bug), "{bug} not confirmed");
+            for arm in &r.arms {
+                assert!(arm.score.found.contains(bug), "{} missed {bug}", arm.name);
             }
         }
-        let full = d.arm("full").unwrap();
-        assert!(ctx.precision.precision() > full.precision.precision());
-        let text = render_precision(&d);
+        let ctx = &r.arm("contextual").score;
+        assert!(ctx.precision() > r.arm("full").score.precision());
+        let text = render_precision(&r);
         assert!(text.contains("false positives removed"));
         assert!(text.contains("contextual"));
     }

@@ -36,13 +36,12 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::queue::SegQueue;
 use hangdoctor::{shared, BlockingApiDb, HangBugReport, HangDoctor, HangDoctorConfig};
 use hd_appmodel::{build_run, generate_schedule, App, CompiledApp, TraceParams};
 use hd_baselines::install;
 use hd_faults::{FaultConfig, FaultPlan, FaultTally, NetFaultTally};
 use hd_metrics::{score, Confusion};
-use hd_simrt::{ExecId, SimConfig, SimRng};
+use hd_simrt::{strided_map, ExecId, SimConfig, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// A simulated device class (the device-profile axis of the matrix).
@@ -417,35 +416,7 @@ impl FleetReport {
 /// over `threads` workers; the result is the fleet's immutable
 /// compile-once cache, indexed like `apps`.
 fn compile_corpus(apps: &[App], threads: usize) -> Vec<Arc<CompiledApp>> {
-    let queue: SegQueue<usize> = SegQueue::new();
-    for app_idx in 0..apps.len() {
-        queue.push(app_idx);
-    }
-    let mut slots: Vec<Option<Arc<CompiledApp>>> = vec![None; apps.len()];
-    crossbeam::thread::scope(|scope| {
-        let workers = threads.min(apps.len()).max(1);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let queue = &queue;
-            handles.push(scope.spawn(move |_| {
-                let mut mine = Vec::new();
-                while let Some(app_idx) = queue.pop() {
-                    mine.push((app_idx, Arc::new(CompiledApp::new(apps[app_idx].clone()))));
-                }
-                mine
-            }));
-        }
-        for handle in handles {
-            for (app_idx, compiled) in handle.join().expect("compile worker panicked") {
-                slots[app_idx] = Some(compiled);
-            }
-        }
-    })
-    .expect("compile scope panicked");
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every app compiled"))
-        .collect()
+    strided_map(apps, threads, |app| Arc::new(CompiledApp::new(app.clone())))
 }
 
 fn add_confusion(into: &mut Confusion, c: &Confusion) {

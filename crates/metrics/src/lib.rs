@@ -4,31 +4,19 @@
 //! classification of action executions and confusion counting
 //! ([`confusion`]), monitoring-overhead accounting per the paper's
 //! with/without methodology ([`overhead`]), descriptive statistics
-//! ([`stats`]), the chaos-vs-clean ([`chaos`]) and static↔runtime
-//! ([`differential`]) differentials, and the three-arm static-precision
-//! differential ([`precision`]).
+//! ([`stats`]), and the one arm scorer every differential shares
+//! ([`arm`]): precision, recall and per-class rollups of a detection
+//! arm against ground truth.
 
-pub mod async_diff;
-pub mod chaos;
+pub mod arm;
 pub mod confusion;
-pub mod differential;
 pub mod overhead;
-pub mod precision;
 pub mod stats;
 
-pub use async_diff::{
-    AsyncAppDifferential, AsyncArm, AsyncBugOutcome, AsyncDifferential, ASYNC_DIFFERENTIAL_SCHEMA,
-};
-pub use chaos::{ChaosDelta, ChaosDifferential};
+pub use arm::{ArmScore, ClassRecall, Truth};
 pub use confusion::{
     bugs_flagged, bugs_manifested, classify, classify_all, score, ui_actions_flagged, Confusion,
     ExecClass, PERCEIVABLE_NS,
 };
-pub use differential::{
-    AppDifferential, ArmPrecision, BugOutcome, ClassDelta, SastDifferential, DIFFERENTIAL_SCHEMA,
-};
 pub use overhead::OverheadReport;
-pub use precision::{
-    AppArm, AppPrecision, ArmReport, ClassTotal, PrecisionDifferential, PRECISION_SCHEMA,
-};
 pub use stats::{frac_above, mean, percentile, percentile_u64, std_dev};

@@ -2,9 +2,9 @@
 //!
 //! The 114-app study is embarrassingly parallel — apps share nothing
 //! but the read-only database and the summary cache — so the scanner
-//! reuses hd-fleet's strided sharding: worker `w` of `T` owns corpus
-//! indices `{w, w+T, w+2T, …}`, producing `(index, report)` partials
-//! that are folded in worker order and sorted by index. Every report is
+//! maps it with [`hd_simrt::strided_map`]: worker `w` of `T` owns corpus
+//! indices `{w, w+T, w+2T, …}` and the results come back in corpus
+//! order. Every report is
 //! a pure function of `(app, db, config)` — the shared cache memoizes
 //! *values*, never decisions — so the merged output is byte-identical
 //! at any thread count; only the wall-clock and the cache hit/miss
@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use hangdoctor::BlockingApiDb;
 use hd_appmodel::App;
+use hd_simrt::strided_map;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, SummaryCache};
@@ -56,36 +57,9 @@ pub fn scan_corpus_cached(
 ) -> CorpusScan {
     let before = cache.stats();
     let threads = threads.clamp(1, apps.len().max(1));
-    let reports = if threads == 1 {
-        apps.iter()
-            .map(|app| analyze_with_db_cached(app, db, config, Some(cache)))
-            .collect()
-    } else {
-        let mut indexed: Vec<(usize, SastReport)> = Vec::with_capacity(apps.len());
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                handles.push(scope.spawn(move |_| {
-                    let mut partial = Vec::new();
-                    let mut index = worker;
-                    while index < apps.len() {
-                        partial.push((
-                            index,
-                            analyze_with_db_cached(&apps[index], db, config, Some(cache)),
-                        ));
-                        index += threads;
-                    }
-                    partial
-                }));
-            }
-            for handle in handles {
-                indexed.extend(handle.join().expect("scan worker panicked"));
-            }
-        })
-        .expect("scan scope panicked");
-        indexed.sort_by_key(|(index, _)| *index);
-        indexed.into_iter().map(|(_, report)| report).collect()
-    };
+    let reports = strided_map(apps, threads, |app| {
+        analyze_with_db_cached(app, db, config, Some(cache))
+    });
     let after = cache.stats();
     CorpusScan {
         reports,

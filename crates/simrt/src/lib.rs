@@ -28,6 +28,7 @@ pub mod probe;
 pub mod recorder;
 pub mod rng;
 pub mod simulator;
+pub mod strided;
 pub mod thread;
 pub mod time;
 pub mod work;
@@ -43,6 +44,7 @@ pub use probe::{MonitorCost, Probe};
 pub use recorder::{DispatchSpan, Timeline, TimelineRecorder};
 pub use rng::{JitterFan, SimRng};
 pub use simulator::{ProbeCtx, RunSummary, SimConfig, Simulator, TaskRecord, TaskStatus};
+pub use strided::strided_map;
 pub use thread::{SimThread, ThreadId, ThreadKind, ThreadState};
 pub use time::{SimTime, MICROS, MILLIS, SECONDS};
 pub use work::{nominal_duration, MemProfile, Step};

@@ -42,7 +42,7 @@ use crate::report::TelemetryReport;
 use crate::store::StoreSnapshot;
 use crate::wire::{
     encode_frame, encode_frame_in, read_frame, write_frame, FrameError, Request, Response,
-    UploadBatch, WireVersion, SCHEMA, SCHEMA_V1, SUPPORTED_SCHEMAS,
+    UploadBatch, WireVersion, SCHEMA, SUPPORTED_SCHEMAS,
 };
 
 /// Uploader tuning knobs.
@@ -158,7 +158,7 @@ impl Uploader {
     /// move.
     pub fn negotiate(&mut self) -> Result<WireVersion, TelemetryError> {
         let hello = Request::Hello {
-            supported: vec![SCHEMA.to_string(), SCHEMA_V1.to_string()],
+            supported: vec![SCHEMA.to_string()],
         };
         match self.round_trip(&encode_frame(&hello))? {
             Response::Welcome { schema } => {

@@ -11,31 +11,24 @@
 //! the snapshots through [`AggregationStore::absorb`] — the exact merge
 //! the single-node store applies internally, which is why the
 //! cluster-folded report is **byte-identical** to a single-node run
-//! over the same batches (`tests/cluster.rs` pins this clean, under
-//! chaos, and across kill-and-restart).
+//! over the same batches (the `hd-bench` cluster differential pins this
+//! clean, under chaos, and across kill-and-restart).
 //!
 //! Crashes are first-class: [`Cluster::kill_node`] stops a node
 //! abruptly (no flush, no snapshot — in-memory state is gone) and
 //! [`Cluster::restart_node`] brings it back over the same WAL
-//! directory, replaying to the pre-crash aggregate. The
-//! [`NodeCrashPlan`] drives *when* and *whom* deterministically, in the
-//! `hd-faults` draw-everything-up-front style.
+//! directory, replaying to the pre-crash aggregate. `hd-faults`'
+//! `NodeCrashPlan` drives *when* and *whom* deterministically, drawing
+//! every decision up front.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use hd_faults::{NetFaultConfig, NodeCrashPlan};
-use hd_fleet::{run_fleet_with_reports, FleetSpec};
-use serde::{Deserialize, Serialize};
-
-use crate::client::{Uploader, UploaderConfig};
+use crate::client::Uploader;
 use crate::error::TelemetryError;
 use crate::fingerprint::node_for;
-use crate::report::TelemetryReport;
 use crate::server::{ServerStats, TelemetryServer};
-use crate::store::AggregationStore;
-use crate::wire::{TelemetryItem, UploadBatch};
+use crate::store::{AggregationStore, StoreSnapshot};
 
 /// Cluster shape. Every node runs the same per-node layout.
 #[derive(Clone, Debug)]
@@ -183,25 +176,25 @@ impl Cluster {
         Ok(())
     }
 
-    /// The coordinator fold, over the wire: asks every node to export
-    /// its raw state and absorbs the snapshots into one store.
-    pub fn export_fold(&self) -> Result<AggregationStore, TelemetryError> {
-        let mut folded = AggregationStore::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.server.is_none() {
-                return Err(TelemetryError::Protocol(format!(
-                    "node {id} is down; restart it before aggregating"
-                )));
-            }
-            let snapshot = Uploader::plain(node.addr).export()?;
-            folded.absorb(&snapshot);
+    /// Asks `node` to export its raw aggregation state over the wire.
+    pub fn export(&self, node: usize) -> Result<StoreSnapshot, TelemetryError> {
+        let ClusterNode { server, addr, .. } = &self.nodes[node];
+        if server.is_none() {
+            return Err(TelemetryError::Protocol(format!(
+                "node {node} is down; restart it before aggregating"
+            )));
         }
-        Ok(folded)
+        Uploader::plain(*addr).export()
     }
 
-    /// The cluster-wide top-N report (the coordinator fold projected).
-    pub fn aggregate(&self, top_n: usize) -> Result<TelemetryReport, TelemetryError> {
-        Ok(self.export_fold()?.report(top_n))
+    /// The coordinator fold: every node's export absorbed into one
+    /// store.
+    pub fn export_fold(&self) -> Result<AggregationStore, TelemetryError> {
+        let mut folded = AggregationStore::new();
+        for node in 0..self.nodes.len() {
+            folded.absorb(&self.export(node)?);
+        }
+        Ok(folded)
     }
 
     /// Gracefully shuts every node down and returns the final per-node
@@ -221,135 +214,10 @@ impl Cluster {
     }
 }
 
-/// Everything one cluster differential run produced.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ClusterRunOutcome {
-    /// Nodes in the cluster.
-    pub nodes: usize,
-    /// Upload waves the run was split into.
-    pub waves: usize,
-    /// `(after_wave, node)` kill-and-restart events that fired.
-    pub crashes: Vec<(usize, usize)>,
-    /// Batches replayed from WALs across all restarts.
-    pub batches_recovered: u64,
-    /// The cluster-folded report.
-    pub report: TelemetryReport,
-    /// The single-node in-process reference over the same batches.
-    pub reference: TelemetryReport,
-    /// Whether the two reports serialize to the same bytes.
-    pub byte_identical: bool,
-    /// Whether the folded raw state (apps, devices, fingerprints —
-    /// ingest counters excluded, since chaos duplicates only exist on
-    /// the networked path) matches the reference state byte-for-byte.
-    pub state_identical: bool,
-    /// Final per-node server stats.
-    pub node_stats: Vec<ServerStats>,
-}
-
-static CLUSTER_RUN: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory for one cluster run's WALs.
-fn scratch_root(root_seed: u64) -> PathBuf {
-    let n = CLUSTER_RUN.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "hd-telemetry-cluster-{}-{root_seed}-{n}",
-        std::process::id()
-    ))
-}
-
-/// Serializes a store's identity (apps, devices, fingerprints) with the
-/// ingest counters zeroed, for cross-path comparison.
-fn identity_bytes(store: &AggregationStore) -> String {
-    let mut snap = store.snapshot();
-    snap.stats = Default::default();
-    serde_json::to_string(&snap).expect("snapshot serializes")
-}
-
-/// Runs the fleet, uploads every job's report into an N-node loopback
-/// cluster (routing by [`node_for`]), executes the crash schedule
-/// between waves, and differentially checks the coordinator fold
-/// against a single in-process store over the same batches.
-pub fn run_cluster_telemetry(
-    spec: &FleetSpec,
-    net: &NetFaultConfig,
-    nodes: usize,
-    top_n: usize,
-    crash: &NodeCrashPlan,
-) -> ClusterRunOutcome {
-    let (_, jobs) = run_fleet_with_reports(spec);
-    let waves = crash.waves().max(1);
-
-    let root = scratch_root(spec.root_seed);
-    let mut cluster = Cluster::launch(ClusterConfig {
-        nodes,
-        wal_root: Some(root.clone()),
-        ..ClusterConfig::default()
-    })
-    .expect("launch loopback cluster");
-
-    // Reference: one in-process store ingesting every batch once.
-    let mut reference = AggregationStore::new();
-
-    // Upload wave by wave, single-threaded for a deterministic
-    // interleaving with the crash schedule. Each device goes through
-    // its own seeded uploader, so the chaos fault streams match the
-    // fleet differential's.
-    let chunk = jobs.len().div_ceil(waves).max(1);
-    let mut crashes = Vec::new();
-    for (wave, wave_jobs) in jobs.chunks(chunk).enumerate() {
-        for job in wave_jobs {
-            let batch = UploadBatch {
-                app: job.app.clone(),
-                device: job.device,
-                seq: 0,
-                items: vec![TelemetryItem::Report(job.report.clone())],
-            };
-            reference.ingest(&batch);
-            let node = cluster.route(&job.app, job.device);
-            let cfg = UploaderConfig {
-                net_faults: *net,
-                ..UploaderConfig::default()
-            };
-            let mut uploader =
-                Uploader::new(cluster.addr(node), job.device as u64, spec.root_seed, cfg);
-            uploader.upload(&batch).unwrap_or_else(|e| {
-                panic!("device {} upload to node {node} failed: {e}", job.device)
-            });
-        }
-        if let Some(victim) = crash.crash_after(wave) {
-            let victim = victim % nodes;
-            cluster.kill_node(victim).expect("kill scheduled node");
-            cluster.restart_node(victim).expect("restart killed node");
-            crashes.push((wave, victim));
-        }
-    }
-
-    let folded = cluster.export_fold().expect("coordinator fold");
-    let report = folded.report(top_n);
-    let reference_report = reference.report(top_n);
-    let byte_identical = report.to_json() == reference_report.to_json();
-    let state_identical = identity_bytes(&folded) == identity_bytes(&reference);
-
-    let batches_recovered = cluster.batches_recovered();
-    let node_stats = cluster.shutdown().expect("cluster shutdown");
-    let _ = std::fs::remove_dir_all(&root);
-
-    ClusterRunOutcome {
-        nodes,
-        waves,
-        crashes,
-        batches_recovered,
-        report,
-        reference: reference_report,
-        byte_identical,
-        state_identical,
-        node_stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{TelemetryItem, UploadBatch};
     use hangdoctor::HangBugReport;
 
     #[test]
@@ -366,7 +234,7 @@ mod tests {
             assert!(n < 3);
             assert_eq!(n, cluster.route("app", device));
         }
-        let report = cluster.aggregate(5).unwrap();
+        let report = cluster.export_fold().unwrap().report(5);
         assert_eq!(report.devices, 0);
         let stats = cluster.shutdown().unwrap();
         assert_eq!(stats.len(), 3);

@@ -15,7 +15,7 @@
 //!
 //! * [`wire`] — the `hang-doctor/telemetry/v2` frame protocol:
 //!   length-prefixed JSON frames, typed [`FrameError`]s, explicit
-//!   version negotiation (v1 frames still ingest byte-identically);
+//!   version negotiation;
 //! * [`error`] — the one typed [`TelemetryError`] every public API
 //!   returns;
 //! * [`fingerprint`] — FNV-1a content fingerprints (idempotent-ingest
@@ -38,29 +38,28 @@
 //!   `hang-doctor/control/v1` dialect (live probes, diagnosis toggles,
 //!   canaried threshold rollout — see `hd-control`);
 //! * [`cluster`] — N-node partitioning, the stateless coordinator fold,
-//!   and the deterministic kill-and-restart differential;
-//! * [`fleet`] — loopback fleet mode and the networked-vs-in-process
-//!   byte-identity differential;
+//!   and kill-and-restart over the WAL;
 //! * [`bench`] — the pipelined loopback load benchmark behind
 //!   `BENCH_telemetry.json`.
 //!
 //! ## End-to-end invariant
 //!
-//! For any fleet spec, uploading every job's report through the real
-//! TCP path — one node or a cluster of them, with or without a crash
-//! and WAL-replay restart in the middle — and folding the aggregation
+//! For any set of device reports, uploading them through the real TCP
+//! path — one node or a cluster of them, with or without a crash and
+//! WAL-replay restart in the middle — and folding the aggregation
 //! yields a [`TelemetryReport`] that is **byte-identical** to the
 //! in-process merge. Ingest is idempotent (content-fingerprint dedup),
 //! the merge is a semilattice join (order-independent, partition-
 //! independent), and serialization is canonical (sorted maps,
-//! declaration-order fields).
+//! declaration-order fields). The loopback and cluster differentials
+//! that check this against a fleet run live in `hd-bench`, as does the
+//! test pinning `tests/fixtures/telemetry_table1.json`.
 
 pub mod bench;
 pub mod client;
 pub mod cluster;
 pub mod error;
 pub mod fingerprint;
-pub mod fleet;
 pub mod report;
 pub mod server;
 pub mod store;
@@ -69,10 +68,9 @@ pub mod wire;
 
 pub use bench::{run_telemetry_bench, BenchSpec, TelemetryBench, BENCH_SCHEMA};
 pub use client::{ControlClient, PipelinedUploader, UploadReceipt, Uploader, UploaderConfig};
-pub use cluster::{run_cluster_telemetry, Cluster, ClusterConfig, ClusterRunOutcome};
+pub use cluster::{Cluster, ClusterConfig};
 pub use error::TelemetryError;
 pub use fingerprint::{batch_fingerprint, fnv1a, node_for, shard_for};
-pub use fleet::{run_fleet_telemetry, TelemetryFleetOutcome};
 pub use report::{HangGroup, TelemetryReport};
 pub use server::{ServerConfig, ServerStats, TelemetryServer, TelemetryServerBuilder};
 pub use store::{AggregationStore, IngestOutcome, IngestStats, StoreSnapshot, SNAPSHOT_SCHEMA};
@@ -80,5 +78,5 @@ pub use wal::{Wal, WalHeader, WalRecord, WalReplay, WAL_MAGIC, WAL_SCHEMA};
 pub use wire::{
     decode_frame, drain_frames, encode_frame, encode_frame_in, read_frame, write_frame, FrameError,
     Request, Response, TelemetryItem, UploadBatch, WireVersion, MAGIC, MAX_FRAME, SCHEMA,
-    SCHEMA_V1, SUPPORTED_SCHEMAS,
+    SUPPORTED_SCHEMAS,
 };

@@ -6,22 +6,16 @@
 //! query/export answer: the top-N groups ranked by occurrence
 //! percentage, fleet-wide.
 //!
-//! The report can be built two ways, and the telemetry differential
-//! test holds them byte-identical:
-//!
-//! * [`TelemetryReport::build`] — from the networked
-//!   [`AggregationStore`](crate::store::AggregationStore)'s per-app
-//!   merged reports;
-//! * [`TelemetryReport::from_fleet`] — projected straight from an
-//!   in-process [`FleetReport`] merge.
-//!
-//! Both reduce to [`HangBugReport::entries`] on per-app semilattice
-//! joins, and the join is order-independent, so upload order, shard
-//! assignment, and duplicate deliveries cannot change a byte of the
-//! output.
+//! [`TelemetryReport::build`] projects any set of per-app merged
+//! reports — the networked
+//! [`AggregationStore`](crate::store::AggregationStore)'s, or an
+//! in-process fleet merge's, which is how the loopback differential in
+//! `hd-bench` holds the two byte-identical. Both reduce to
+//! [`HangBugReport::entries`] on per-app semilattice joins, and the
+//! join is order-independent, so upload order, shard assignment, and
+//! duplicate deliveries cannot change a byte of the output.
 
 use hangdoctor::{HangBugReport, ReportEntry, RootKind};
-use hd_fleet::FleetReport;
 use serde::{Deserialize, Serialize};
 
 use crate::wire::SCHEMA;
@@ -129,22 +123,6 @@ impl TelemetryReport {
             devices,
             groups,
         }
-    }
-
-    /// Projects the report straight from an in-process fleet merge —
-    /// the reference the networked path is differentially tested
-    /// against. One job = one device, so `merged.jobs` is the distinct
-    /// device count.
-    pub fn from_fleet(fleet: &FleetReport, top_n: usize) -> TelemetryReport {
-        TelemetryReport::build(
-            fleet
-                .merged
-                .apps
-                .iter()
-                .map(|a| (a.app.as_str(), &a.report)),
-            fleet.merged.jobs,
-            top_n,
-        )
     }
 
     /// Canonical compact JSON — the byte string the differential test

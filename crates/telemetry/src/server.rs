@@ -45,7 +45,7 @@
 //! * **Durability.** With a WAL directory configured, every batch is
 //!   appended to the shard's log *before* it merges, so
 //!   kill-and-restart replays to the identical aggregate
-//!   (`tests/wal.rs`, `tests/cluster.rs`).
+//!   (`tests/wal.rs`, and hd-bench's cluster differential).
 //!
 //! Backpressure is explicit and non-blocking: when a shard queue is
 //! full the io worker answers a retryable [`Response::Nack`] instead of
@@ -941,19 +941,41 @@ mod tests {
         let server = TelemetryServer::builder().start().unwrap();
         let addr = server.local_addr();
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut bad = encode_frame(&Request::Query { top_n: 1 });
-        bad[0] = b'Z';
-        write_frame(&mut stream, &bad).unwrap();
-        match read_frame::<Response>(&mut stream).unwrap() {
-            Response::Error(msg) => assert!(msg.contains("magic"), "got: {msg}"),
-            other => panic!("expected Error, got {other:?}"),
+        let query = encode_frame(&Request::Query { top_n: 1 });
+        let mut bad_magic = query.clone();
+        bad_magic[0] = b'Z';
+        // The retired v1 dialect: same length, so the frame header stays
+        // valid and only the envelope tag is rejected.
+        let v1 = String::from_utf8(query.clone())
+            .unwrap()
+            .replace(crate::wire::SCHEMA, "hang-doctor/telemetry/v1")
+            .into_bytes();
+        assert_eq!(v1.len(), query.len());
+        let cases: [(&[u8], &str); 2] = [
+            (&bad_magic, "magic"),
+            (&v1, "unexpected schema tag `hang-doctor/telemetry/v1`"),
+        ];
+        for (seen, (frame, want)) in cases.into_iter().enumerate() {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, frame).unwrap();
+            match read_frame::<Response>(&mut stream).unwrap() {
+                Response::Error(msg) => assert!(msg.contains(want), "got: {msg}"),
+                other => panic!("expected Error, got {other:?}"),
+            }
+            drop(stream);
+            assert_eq!(server.stats().decode_errors, seen as u64 + 1);
+            // The server keeps serving the next connection.
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write_frame(&mut stream, &query).unwrap();
+            assert!(matches!(
+                read_frame::<Response>(&mut stream).unwrap(),
+                Response::Report(_)
+            ));
         }
-        drop(stream);
 
         shutdown(addr);
         let stats = server.join();
-        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(stats.decode_errors, cases.len() as u64);
     }
 
     #[test]
@@ -978,7 +1000,7 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         let hello = Request::Hello {
             supported: vec![
-                crate::wire::SCHEMA_V1.to_string(),
+                "hang-doctor/telemetry/v99".to_string(),
                 crate::wire::SCHEMA.to_string(),
             ],
         };

@@ -9,11 +9,10 @@
 //! ```
 //!
 //! The envelope carries a protocol tag. This build speaks two
-//! dialects: the current [`SCHEMA`] (`hang-doctor/telemetry/v2`) and
-//! the legacy [`SCHEMA_V1`] — a v2 server still ingests v1 frames
-//! byte-identically, and answers each connection in the dialect its
-//! requests arrive in, so old uploaders keep working across a fleet
-//! that upgrades gradually. A frame with any *other* tag is rejected
+//! dialects: telemetry ([`SCHEMA`], `hang-doctor/telemetry/v2`) and
+//! control ([`CONTROL_SCHEMA`]); the server answers each connection in
+//! the dialect its requests arrive in. A frame with any *other* tag —
+//! including the retired `hang-doctor/telemetry/v1` — is rejected
 //! with [`FrameError::Schema`] before its body is interpreted, so
 //! protocol drift fails loudly at the boundary instead of corrupting
 //! the aggregation store. Version negotiation is explicit: a client
@@ -25,9 +24,8 @@
 //! Encoding is canonical: the JSON renderer is deterministic (struct
 //! fields in declaration order, map keys sorted), so
 //! `encode(decode(encode(x))) == encode(x)` byte-for-byte. The ingest
-//! fingerprints of `fingerprint.rs` rely on exactly this property —
-//! and because the fingerprint hashes the *batch*, not the envelope,
-//! the same batch carried by a v1 and a v2 frame dedups to one ingest.
+//! fingerprints of `fingerprint.rs` rely on exactly this property, and
+//! they hash the *batch*, not the envelope.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -42,14 +40,11 @@ use crate::store::StoreSnapshot;
 /// Current protocol/schema tag carried by every frame envelope.
 pub const SCHEMA: &str = "hang-doctor/telemetry/v2";
 
-/// The legacy protocol tag; still accepted on ingest.
-pub const SCHEMA_V1: &str = "hang-doctor/telemetry/v1";
-
 /// Every dialect this build speaks, newest first (the negotiation
 /// preference order). The control dialect outranks the telemetry
-/// dialects: a client that speaks it is a control client and wants its
+/// dialect: a client that speaks it is a control client and wants its
 /// connection answered in it, while plain uploaders never offer it.
-pub const SUPPORTED_SCHEMAS: [&str; 3] = [CONTROL_SCHEMA, SCHEMA, SCHEMA_V1];
+pub const SUPPORTED_SCHEMAS: [&str; 2] = [CONTROL_SCHEMA, SCHEMA];
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"HDT1";
@@ -60,8 +55,6 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// A protocol dialect a frame can arrive in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireVersion {
-    /// `hang-doctor/telemetry/v1` — PR 5's original envelope.
-    V1,
     /// `hang-doctor/telemetry/v2` — adds Hello/Welcome negotiation and
     /// the cluster Export exchange.
     V2,
@@ -74,7 +67,6 @@ impl WireVersion {
     /// The envelope tag of this dialect.
     pub fn tag(self) -> &'static str {
         match self {
-            WireVersion::V1 => SCHEMA_V1,
             WireVersion::V2 => SCHEMA,
             WireVersion::Control => CONTROL_SCHEMA,
         }
@@ -83,7 +75,6 @@ impl WireVersion {
     /// Parses an envelope tag into a dialect, if supported.
     pub fn from_tag(tag: &str) -> Option<WireVersion> {
         match tag {
-            SCHEMA_V1 => Some(WireVersion::V1),
             SCHEMA => Some(WireVersion::V2),
             CONTROL_SCHEMA => Some(WireVersion::Control),
             _ => None,
@@ -276,8 +267,7 @@ pub fn encode_frame<T: Serialize>(body: &T) -> Vec<u8> {
 }
 
 /// Encodes `body` into a complete frame in an explicit dialect — the
-/// server answers each connection in the dialect it was addressed in,
-/// and the v1-compat tests pin legacy encoding.
+/// server answers each connection in the dialect it was addressed in.
 pub fn encode_frame_in<T: Serialize>(version: WireVersion, body: &T) -> Vec<u8> {
     let envelope = Envelope {
         schema: version.tag().to_string(),
@@ -546,20 +536,20 @@ mod tests {
     fn both_supported_dialects_decode_and_report_their_version() {
         let req = Request::Query { top_n: 4 };
         let v2 = encode_frame_in(WireVersion::V2, &req);
-        let v1 = encode_frame_in(WireVersion::V1, &req);
-        assert_ne!(v1, v2, "dialects must be distinguishable on the wire");
+        let control = encode_frame_in(WireVersion::Control, &req);
+        assert_ne!(v2, control, "dialects must be distinguishable on the wire");
         let (_, ver2) = decode_payload_versioned::<Request>(&v2[8..]).unwrap();
-        let (_, ver1) = decode_payload_versioned::<Request>(&v1[8..]).unwrap();
+        let (_, ver_ctl) = decode_payload_versioned::<Request>(&control[8..]).unwrap();
         assert_eq!(ver2, WireVersion::V2);
-        assert_eq!(ver1, WireVersion::V1);
+        assert_eq!(ver_ctl, WireVersion::Control);
     }
 
     #[test]
     fn negotiation_picks_the_newest_common_dialect() {
-        let both = vec![SCHEMA_V1.to_string(), SCHEMA.to_string()];
+        let both = vec!["hang-doctor/telemetry/v1".to_string(), SCHEMA.to_string()];
         assert_eq!(WireVersion::negotiate(&both), Some(WireVersion::V2));
-        let legacy_only = vec![SCHEMA_V1.to_string()];
-        assert_eq!(WireVersion::negotiate(&legacy_only), Some(WireVersion::V1));
+        let retired_only = vec!["hang-doctor/telemetry/v1".to_string()];
+        assert_eq!(WireVersion::negotiate(&retired_only), None);
         let alien = vec!["hang-doctor/telemetry/v99".to_string()];
         assert_eq!(WireVersion::negotiate(&alien), None);
     }
@@ -570,7 +560,7 @@ mod tests {
         let control = vec![CONTROL_SCHEMA.to_string(), SCHEMA.to_string()];
         assert_eq!(WireVersion::negotiate(&control), Some(WireVersion::Control));
         // Plain uploaders never offer it, so they still land on v2.
-        let uploader = vec![SCHEMA.to_string(), SCHEMA_V1.to_string()];
+        let uploader = vec![SCHEMA.to_string()];
         assert_eq!(WireVersion::negotiate(&uploader), Some(WireVersion::V2));
         assert_eq!(
             WireVersion::from_tag(CONTROL_SCHEMA),
@@ -638,13 +628,13 @@ mod tests {
     #[test]
     fn drain_frames_extracts_complete_frames_and_keeps_the_tail() {
         let a = encode_frame(&Request::Query { top_n: 1 });
-        let b = encode_frame_in(WireVersion::V1, &Request::Shutdown);
+        let b = encode_frame_in(WireVersion::Control, &Request::Shutdown);
         let c = encode_frame(&Request::Query { top_n: 9 });
         let mut buf = [a.as_slice(), b.as_slice(), &c[..c.len() - 3]].concat();
         let got: Vec<(Request, WireVersion)> = drain_frames(&mut buf).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].1, WireVersion::V2);
-        assert_eq!(got[1].1, WireVersion::V1);
+        assert_eq!(got[1].1, WireVersion::Control);
         // The partial tail stays buffered; completing it yields frame 3.
         buf.extend_from_slice(&c[c.len() - 3..]);
         let got: Vec<(Request, WireVersion)> = drain_frames(&mut buf).unwrap();
@@ -663,14 +653,12 @@ mod tests {
             items: vec![TelemetryItem::Report(HangBugReport::new("app"))],
         };
         let want = batch_fingerprint(&batch);
-        for version in [WireVersion::V1, WireVersion::V2] {
-            let frame = encode_frame_in(version, &Request::Upload(batch.clone()));
-            assert_eq!(
-                upload_fingerprint_from_payload(&frame[8..], version),
-                Some(want),
-                "wire-byte fingerprint must equal the re-serialized one ({version:?})"
-            );
-        }
+        let frame = encode_frame_in(WireVersion::V2, &Request::Upload(batch.clone()));
+        assert_eq!(
+            upload_fingerprint_from_payload(&frame[8..], WireVersion::V2),
+            Some(want),
+            "wire-byte fingerprint must equal the re-serialized one"
+        );
         // A semantically equal but non-canonical payload (extra space)
         // falls back instead of producing a wrong fingerprint.
         let frame = encode_frame_in(WireVersion::V2, &Request::Upload(batch.clone()));
