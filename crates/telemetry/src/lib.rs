@@ -9,7 +9,9 @@
 //! [`TelemetryReport`].
 //!
 //! Built entirely on `std::net` plus the vendored `crossbeam` shim —
-//! no external service dependencies.
+//! no external service dependencies. Unix-only: the server's io workers
+//! block in `poll(2)`, declared in `server.rs` (the crate's one `unsafe`
+//! call).
 //!
 //! Module map:
 //!
@@ -27,10 +29,11 @@
 //! * [`wal`] — per-shard append-only write-ahead logs (CRC-framed
 //!   canonical JSON) plus compacted snapshots; kill-and-restart replays
 //!   to the identical aggregate;
-//! * [`server`] — builder-validated server: acceptor → nonblocking
-//!   multiplexed I/O workers (batch frame decode) → bounded shard
-//!   queues → WAL-appending shard workers, with queue-full NACK
-//!   backpressure and ACK-after-apply;
+//! * [`server`] — builder-validated server: acceptor → `poll`-driven
+//!   multiplexed I/O workers woken by doorbells (batch frame decode) →
+//!   bounded shard queues → WAL-appending shard workers, with
+//!   queue-full NACK backpressure, ACK-after-apply and per-connection
+//!   caps on what a peer can make the server hold;
 //! * [`client`] — the retrying [`Uploader`] with deterministic
 //!   exponential backoff and `hd-faults` transport-fault injection,
 //!   the windowed [`PipelinedUploader`] throughput path, and the
@@ -54,6 +57,9 @@
 //! declaration-order fields). The loopback and cluster differentials
 //! that check this against a fleet run live in `hd-bench`, as does the
 //! test pinning `tests/fixtures/telemetry_table1.json`.
+
+#[cfg(not(unix))]
+compile_error!("hd-telemetry's server blocks in poll(2) on Unix sockets; it builds on Unix only");
 
 pub mod bench;
 pub mod client;

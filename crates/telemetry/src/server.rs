@@ -1,12 +1,13 @@
 //! The TCP ingestion server.
 //!
-//! Thread layout (since the cluster/durability redesign):
+//! Thread layout:
 //!
 //! ```text
-//! acceptor ──► round-robin hand-off to a FIXED pool of I/O workers
-//!                 │  (nonblocking sockets, multiplexed per worker)
+//! acceptor ──► round-robin hand-off to a FIXED pool of I/O workers,
+//!                 │  then rings that worker's doorbell
 //!                 ▼
-//!   io worker: read-available → batch frame decode → dispatch
+//!   io worker: blocks in poll(2) on its sockets + its doorbell;
+//!              readable → batch frame decode → dispatch
 //!                 │  shard = fnv(app, device) % shards
 //!                 ▼
 //!          bounded crossbeam channel per shard   ◄── explicit backpressure:
@@ -14,18 +15,32 @@
 //!                 ▼
 //!          shard worker ──► WAL append ──► owned shard store
 //!                 │
-//!                 └──► completion queue → io worker flushes ACK
+//!                 └──► completion queue (+ doorbell if the io worker
+//!                      is parked) → io worker flushes ACK
 //! ```
 //!
-//! The PR 5 server spawned **one handler thread per connection** and
-//! blocked it on a per-batch reply channel; at fleet scale that is a
-//! thread per device and a context switch per batch. The redesign
-//! multiplexes all connections over a fixed I/O worker pool on
-//! nonblocking sockets: each worker slurps whatever bytes are
-//! available, carves out *every* complete frame in one pass
-//! ([`drain_frames`]), dispatches the batches, and flushes responses
-//! as shard completions arrive — pipelined clients keep dozens of
-//! batches in flight on one connection.
+//! All connections are multiplexed over a fixed I/O worker pool on
+//! nonblocking sockets. A worker sleeps in `poll` until one of its
+//! sockets is ready or its **doorbell** rings — a byte on a Unix socket
+//! pair whose read end sits in the poll set. Readable sockets are read,
+//! *every* complete frame is carved out in one pass ([`drain_frames`]),
+//! batches are dispatched, and responses flush as shard completions
+//! arrive, so pipelined clients keep dozens of batches in flight on one
+//! connection. An idle server makes no wake-ups at all.
+//!
+//! The doorbell rings when another thread has handed the worker
+//! something: the acceptor after each new connection, `Shutdown` and
+//! [`TelemetryServer::kill`] for every worker, and a shard worker after
+//! a completion — but only when the io worker is *parked*. The worker
+//! raises its parked flag, re-checks its completion and new-connection
+//! queues, and only then polls; a shard worker swaps the flag back down
+//! after queueing its completion and rings only if it was up (`SeqCst`
+//! on both sides). A busy worker, which finds the completion on its next
+//! pass anyway, is never rung.
+//!
+//! One peer cannot make the server hold unbounded state: a connection
+//! owing 1,024 responses, or holding 1 MiB of responses the peer has not
+//! taken, is not read again until it drains.
 //!
 //! Properties that carry the correctness argument:
 //!
@@ -39,9 +54,11 @@
 //!   Responses flush in request order per connection, which is what
 //!   lets clients pipeline.
 //! * **Sharded state.** Each shard worker owns an
-//!   [`AggregationStore`] partition; queries fold the partitions
-//!   through the CRDT merge ([`AggregationStore::absorb`]) — the same
-//!   fold the cluster coordinator runs across nodes.
+//!   [`AggregationStore`] partition. A query merges each partition's
+//!   reports straight into its answer under that shard's lock
+//!   ([`AggregationStore::fold_report`]); `Export` folds the partitions'
+//!   snapshots through the CRDT merge ([`AggregationStore::absorb`]) —
+//!   the same fold the cluster coordinator runs across nodes.
 //! * **Durability.** With a WAL directory configured, every batch is
 //!   appended to the shard's log *before* it merges, so
 //!   kill-and-restart replays to the identical aggregate
@@ -52,14 +69,16 @@
 //! stalling the connection, and the batch is **not** applied.
 
 use std::collections::{HashMap, VecDeque};
+use std::ffi::{c_int, c_short};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use crossbeam::queue::SegQueue;
@@ -226,16 +245,17 @@ struct Completion {
 
 /// One unit of shard work.
 enum ShardJob {
-    /// Apply a batch (WAL-append first), then complete `(conn, slot)`.
+    /// Apply a batch (WAL-append first), then complete `(conn, slot)`
+    /// on io worker `io`.
     Ingest {
         batch: UploadBatch,
         /// Ingest fingerprint recovered from the wire bytes, when the
         /// frame was canonical; `None` makes the shard worker
         /// re-serialize.
         fingerprint: Option<u64>,
+        io: usize,
         conn: u64,
         slot: u64,
-        done: Sender<Completion>,
     },
     /// Snapshot the shard store and truncate its WAL.
     Compact {
@@ -243,7 +263,73 @@ enum ShardJob {
     },
 }
 
+/// Responses a connection may owe before it is no longer read: far
+/// above any pipelining window a client keeps in flight (at most 32),
+/// so only a peer that sends without reading reaches it.
+const MAX_PENDING: usize = 1024;
+
+/// Response bytes a connection may leave untaken before it is no longer
+/// read.
+const MAX_WBUF: usize = 1 << 20;
+
+/// What other threads hand one io worker, and the doorbell that wakes
+/// it to look.
+struct Inbox {
+    /// Accepted connections, from the acceptor.
+    conns: SegQueue<TcpStream>,
+    /// Applied batches of this worker's connections, from the shards.
+    done: Sender<Completion>,
+    /// Write end of the doorbell.
+    bell: UnixStream,
+    /// Read end of the doorbell, in the worker's poll set.
+    wake: UnixStream,
+    /// Up while the worker is in, or about to enter, `poll`.
+    parked: AtomicBool,
+}
+
+impl Inbox {
+    fn new(done: Sender<Completion>) -> io::Result<Inbox> {
+        let (bell, wake) = UnixStream::pair()?;
+        bell.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        Ok(Inbox {
+            conns: SegQueue::new(),
+            done,
+            bell,
+            wake,
+            parked: AtomicBool::new(false),
+        })
+    }
+
+    /// Wakes the worker out of `poll`, or makes its next `poll` return
+    /// at once. A write that would block is ignored: the bytes already
+    /// pending wake the worker just the same.
+    fn ring(&self) {
+        let _ = (&self.bell).write(&[1]);
+    }
+
+    /// Rings only if the worker is parked — a worker still running its
+    /// pass sees the caller's completion without one.
+    fn ring_if_parked(&self) {
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.ring();
+        }
+    }
+
+    /// Consumes the doorbell's pending bytes.
+    fn silence(&self) {
+        let mut buf = [0u8; 64];
+        while let Ok(n) = (&self.wake).read(&mut buf) {
+            if n < buf.len() {
+                break;
+            }
+        }
+    }
+}
+
 struct Shared {
+    /// The bound listener address.
+    addr: SocketAddr,
     stores: Vec<Mutex<AggregationStore>>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
@@ -253,20 +339,95 @@ struct Shared {
     nacks_sent: AtomicU64,
     decode_errors: AtomicU64,
     batches_recovered: AtomicU64,
-    /// The embedded control plane (PR 10). Control frames are rare and
-    /// cheap relative to ingest, so one mutex — never touched by the
-    /// upload path — is plenty.
+    /// The embedded control plane. Control frames are rare and cheap
+    /// relative to ingest, so one mutex — never touched by the upload
+    /// path — is plenty.
     controller: Mutex<FleetController>,
+    /// One per io worker.
+    inboxes: Vec<Inbox>,
 }
 
 impl Shared {
-    /// Folds every shard partition through the CRDT merge.
+    /// Folds every shard partition's snapshot through the CRDT merge —
+    /// the full state, fingerprint set included.
     fn fold_stores(&self) -> AggregationStore {
         let mut folded = AggregationStore::new();
         for store in &self.stores {
             folded.absorb(&store.lock().expect("store lock").snapshot());
         }
         folded
+    }
+
+    /// The top-N report over every shard partition, merged under each
+    /// shard's lock in turn with no snapshot taken.
+    fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
+        let parts = self.stores.iter().map(|s| s.lock().expect("store lock"));
+        AggregationStore::fold_report(parts, top_n)
+    }
+
+    /// Sets the stop flags and wakes every thread that waits to see
+    /// them: each io worker by its doorbell, the acceptor by a
+    /// connection out of its blocking accept.
+    fn stop(&self, kill: bool) {
+        if kill {
+            self.killed.store(true, Ordering::SeqCst);
+        }
+        self.shutdown.store(true, Ordering::SeqCst);
+        for inbox in &self.inboxes {
+            inbox.ring();
+        }
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// `struct pollfd` of `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+/// Conditions `poll` reports whether asked or not: error, hang-up and
+/// an invalid descriptor.
+const POLL_GONE: c_short = 0x8 | 0x10 | 0x20;
+
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type NfdsT = std::ffi::c_uint;
+
+// SAFETY: matches `int poll(struct pollfd *fds, nfds_t nfds, int
+// timeout)` of `<poll.h>` in the C library std already links, with
+// `PollFd` laid out as `struct pollfd` and `NfdsT` as the platform's
+// `nfds_t`; `wait_ready` is its only caller.
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
+
+/// Blocks until a descriptor in `fds` is ready and fills in every
+/// `revents`. An interrupted `poll` is retried. Any other failure
+/// (out of kernel memory) marks every descriptor ready for what it
+/// asked, so the caller's next pass tries its I/O instead of stalling.
+fn wait_ready(fds: &mut [PollFd]) {
+    loop {
+        // SAFETY: `fds` is an exclusively borrowed slice of `fds.len()`
+        // initialized records with the layout of `struct pollfd`
+        // (`repr(C)`: int, short, short); `poll` writes only their
+        // `revents` fields, within that length, and keeps no pointer
+        // after it returns.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, -1) };
+        if rc >= 0 {
+            return;
+        }
+        if io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+            for fd in fds.iter_mut() {
+                fd.revents = fd.events;
+            }
+            return;
+        }
     }
 }
 
@@ -277,7 +438,6 @@ impl Shared {
 /// [`join`]: TelemetryServer::join
 /// [`kill`]: TelemetryServer::kill
 pub struct TelemetryServer {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     senders: Vec<Sender<ShardJob>>,
     acceptor: Option<JoinHandle<()>>,
@@ -320,7 +480,20 @@ impl TelemetryServer {
             }
         }
 
+        // An inbox per io worker, with a completion channel whose
+        // capacity covers every slot the shards can hold plus slack, so
+        // shard workers never stall on it.
+        let completion_cap = cfg.shards * cfg.queue_capacity + 64;
+        let mut inboxes = Vec::with_capacity(cfg.io_workers);
+        let mut completions = Vec::with_capacity(cfg.io_workers);
+        for _ in 0..cfg.io_workers {
+            let (done_tx, done_rx) = bounded(completion_cap);
+            inboxes.push(Inbox::new(done_tx)?);
+            completions.push(done_rx);
+        }
+
         let shared = Arc::new(Shared {
+            addr: local,
             stores,
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
@@ -331,6 +504,7 @@ impl TelemetryServer {
             decode_errors: AtomicU64::new(0),
             batches_recovered: AtomicU64::new(recovered),
             controller: Mutex::new(FleetController::new()),
+            inboxes,
         });
 
         let mut senders = Vec::with_capacity(cfg.shards);
@@ -347,39 +521,31 @@ impl TelemetryServer {
             senders.push(tx);
         }
 
-        // New-connection hand-off queues plus a completion channel per
-        // io worker. Completion capacity covers every slot the shards
-        // can hold plus slack, so shard workers never stall on it.
-        let completion_cap = cfg.shards * cfg.queue_capacity + 64;
-        let conn_queues: Vec<Arc<SegQueue<TcpStream>>> = (0..cfg.io_workers)
-            .map(|_| Arc::new(SegQueue::new()))
-            .collect();
         let mut io_workers = Vec::with_capacity(cfg.io_workers);
-        for (w, queue) in conn_queues.iter().enumerate() {
-            let (done_tx, done_rx): (Sender<Completion>, Receiver<Completion>) =
-                bounded(completion_cap);
-            let shared_w = Arc::clone(&shared);
-            let senders_w = senders.clone();
-            let queue_w = Arc::clone(queue);
+        for (index, done_rx) in completions.into_iter().enumerate() {
+            let worker = IoWorker {
+                index,
+                senders: senders.clone(),
+                shared: Arc::clone(&shared),
+                next_slot: 0,
+            };
             io_workers.push(
                 thread::Builder::new()
-                    .name(format!("hd-telemetry-io-{w}"))
-                    .spawn(move || io_worker(queue_w, done_tx, done_rx, senders_w, shared_w, local))
+                    .name(format!("hd-telemetry-io-{index}"))
+                    .spawn(move || worker.run(done_rx))
                     .expect("spawn io worker"),
             );
         }
 
         let acceptor = {
             let shared_a = Arc::clone(&shared);
-            let queues_a = conn_queues;
             thread::Builder::new()
                 .name("hd-telemetry-acceptor".to_string())
-                .spawn(move || acceptor_loop(listener, shared_a, queues_a))
+                .spawn(move || acceptor_loop(listener, shared_a))
                 .expect("spawn acceptor")
         };
 
         Ok(TelemetryServer {
-            addr: local,
             shared,
             senders,
             acceptor: Some(acceptor),
@@ -390,7 +556,7 @@ impl TelemetryServer {
 
     /// The bound address (resolves the ephemeral port of `:0` binds).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The configuration the server runs under.
@@ -417,7 +583,7 @@ impl TelemetryServer {
     /// The aggregated top-N report over everything ingested so far
     /// (all shard partitions folded).
     pub fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
-        self.shared.fold_stores().report(top_n)
+        self.shared.report(top_n)
     }
 
     /// The node's full aggregation state (all shard partitions folded)
@@ -453,10 +619,7 @@ impl TelemetryServer {
     /// is all that survives — restarting over the same directory must
     /// replay to the identical aggregate.
     pub fn kill(mut self) {
-        self.shared.killed.store(true, Ordering::SeqCst);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of its blocking accept.
-        let _ = TcpStream::connect(self.addr);
+        self.shared.stop(true);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -491,11 +654,7 @@ impl TelemetryServer {
     }
 }
 
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    queues: Vec<Arc<SegQueue<TcpStream>>>,
-) {
+fn acceptor_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut rr = 0usize;
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -510,17 +669,24 @@ fn acceptor_loop(
         }
         let _ = stream.set_nodelay(true);
         shared.connections.fetch_add(1, Ordering::Relaxed);
-        queues[rr % queues.len()].push(stream);
+        let inbox = &shared.inboxes[rr % shared.inboxes.len()];
+        inbox.conns.push(stream);
+        inbox.ring();
         rr = rr.wrapping_add(1);
     }
 }
 
 /// One queued response on a connection. Responses flush strictly in
-/// request order; `slot` entries wait for their shard completion.
+/// request order.
 struct PendingEntry {
-    slot: Option<u64>,
-    response: Option<Response>,
+    response: Pending,
     version: WireVersion,
+}
+
+enum Pending {
+    /// Waits for the shard completion of this slot.
+    Slot(u64),
+    Ready(Response),
 }
 
 struct Conn {
@@ -534,6 +700,8 @@ struct Conn {
     closed_read: bool,
     /// Close the socket once everything queued has flushed.
     close_after_flush: bool,
+    /// What the last `poll` reported for the socket.
+    ready: c_short,
 }
 
 impl Conn {
@@ -546,264 +714,288 @@ impl Conn {
             version: WireVersion::V2,
             closed_read: false,
             close_after_flush: false,
+            ready: 0,
         }
     }
 
     fn push_ready(&mut self, response: Response) {
         self.pending.push_back(PendingEntry {
-            slot: None,
-            response: Some(response),
+            response: Pending::Ready(response),
             version: self.version,
         });
     }
 
     fn push_waiting(&mut self, slot: u64) {
         self.pending.push_back(PendingEntry {
-            slot: Some(slot),
-            response: None,
+            response: Pending::Slot(slot),
             version: self.version,
         });
     }
+
+    fn complete(&mut self, slot: u64, result: Result<IngestOutcome, String>) {
+        let waiting = self
+            .pending
+            .iter_mut()
+            .find(|e| matches!(e.response, Pending::Slot(s) if s == slot));
+        if let Some(entry) = waiting {
+            entry.response = Pending::Ready(match result {
+                Ok(outcome) => Response::Ack {
+                    fingerprint: outcome.fingerprint,
+                    duplicate: outcome.duplicate,
+                },
+                Err(e) => Response::Error(e),
+            });
+        }
+    }
+
+    /// Whether to read more requests: not after EOF, and not while the
+    /// peer leaves too many responses owed or untaken.
+    fn wants_read(&self) -> bool {
+        !self.closed_read && self.pending.len() < MAX_PENDING && self.wbuf.len() < MAX_WBUF
+    }
+
+    /// The `poll` events this connection waits for.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if self.wants_read() {
+            events |= POLLIN;
+        }
+        if !self.wbuf.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
 }
 
-/// The nonblocking multiplex loop: drains new connections, shard
-/// completions, readable bytes (batch-decoding every complete frame),
-/// and writable responses — then sleeps briefly only when a pass made
-/// no progress.
-fn io_worker(
-    new_conns: Arc<SegQueue<TcpStream>>,
-    done_tx: Sender<Completion>,
-    done_rx: Receiver<Completion>,
+/// One io worker's fixed context.
+struct IoWorker {
+    /// Which of `shared.inboxes` is this worker's.
+    index: usize,
     senders: Vec<Sender<ShardJob>>,
     shared: Arc<Shared>,
-    local: SocketAddr,
-) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn_id = 0u64;
-    let mut next_slot = 0u64;
-    let mut scratch = [0u8; 64 * 1024];
-    loop {
-        if shared.killed.load(Ordering::SeqCst) {
-            return; // crash simulation: drop everything on the floor
-        }
-        let mut progressed = false;
+    next_slot: u64,
+}
 
-        while let Some(stream) = new_conns.pop() {
-            conns.insert(next_conn_id, Conn::new(stream));
-            next_conn_id += 1;
-            progressed = true;
-        }
-
-        while let Ok(done) = done_rx.try_recv() {
-            if let Some(conn) = conns.get_mut(&done.conn) {
-                if let Some(entry) = conn.pending.iter_mut().find(|e| e.slot == Some(done.slot)) {
-                    entry.response = Some(match done.result {
-                        Ok(outcome) => Response::Ack {
-                            fingerprint: outcome.fingerprint,
-                            duplicate: outcome.duplicate,
-                        },
-                        Err(e) => Response::Error(e),
-                    });
-                    entry.slot = None;
+impl IoWorker {
+    /// The multiplex loop: adopts new connections, applies shard
+    /// completions, serves every connection once, then blocks in `poll`
+    /// until a socket is ready or the doorbell rings.
+    fn run(mut self, done_rx: Receiver<Completion>) {
+        let shared = Arc::clone(&self.shared);
+        let inbox = &shared.inboxes[self.index];
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut next_conn_id = 0u64;
+        let mut scratch = [0u8; 64 * 1024];
+        // The poll set: the doorbell, then one entry per connection in
+        // `ids` order.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut ids: Vec<u64> = Vec::new();
+        loop {
+            if shared.killed.load(Ordering::SeqCst) {
+                return; // crash simulation: drop everything on the floor
+            }
+            while let Some(stream) = inbox.conns.pop() {
+                conns.insert(next_conn_id, Conn::new(stream));
+                next_conn_id += 1;
+            }
+            while let Ok(done) = done_rx.try_recv() {
+                if let Some(conn) = conns.get_mut(&done.conn) {
+                    conn.complete(done.slot, done.result);
                 }
             }
-            progressed = true;
+            conns.retain(|&id, conn| self.serve(id, conn, &mut scratch));
+            if shared.shutdown.load(Ordering::SeqCst) && conns.is_empty() && inbox.conns.is_empty()
+            {
+                return;
+            }
+
+            fds.clear();
+            ids.clear();
+            fds.push(PollFd {
+                fd: inbox.wake.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+            for (&id, conn) in &conns {
+                fds.push(PollFd {
+                    fd: conn.stream.as_raw_fd(),
+                    events: conn.interest(),
+                    revents: 0,
+                });
+                ids.push(id);
+            }
+            // Park. A shard worker queueing a completion after the
+            // re-check below finds the flag up and rings.
+            inbox.parked.store(true, Ordering::SeqCst);
+            if !done_rx.is_empty() || !inbox.conns.is_empty() {
+                inbox.parked.store(false, Ordering::SeqCst);
+                continue;
+            }
+            wait_ready(&mut fds);
+            inbox.parked.store(false, Ordering::SeqCst);
+            if fds[0].revents != 0 {
+                inbox.silence();
+            }
+            for (fd, id) in fds[1..].iter().zip(&ids) {
+                if let Some(conn) = conns.get_mut(id) {
+                    conn.ready = fd.revents;
+                }
+            }
+        }
+    }
+
+    /// One pass over a connection: reads once if `poll` reported it
+    /// readable and it may read, dispatches every complete frame, moves
+    /// the ready prefix of its responses into the write buffer and
+    /// writes what the socket takes. Returns whether to keep it.
+    fn serve(&mut self, id: u64, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+        let ready = std::mem::take(&mut conn.ready);
+        if ready & (POLLIN | POLL_GONE) != 0 && conn.wants_read() {
+            match conn.stream.read(scratch) {
+                Ok(0) => {
+                    conn.closed_read = true;
+                    conn.close_after_flush = true;
+                }
+                Ok(n) => {
+                    conn.rbuf.extend_from_slice(&scratch[..n]);
+                    self.dispatch(id, conn);
+                }
+                Err(e) if is_transient(&e) => {}
+                Err(_) => return false,
+            }
+        } else if ready & POLL_GONE != 0 {
+            // Reset or closed with nothing more to read: the owed
+            // responses can no longer be delivered.
+            return false;
         }
 
-        let mut dead: Vec<u64> = Vec::new();
-        let conn_ids: Vec<u64> = conns.keys().copied().collect();
-        for id in conn_ids {
-            let conn = conns.get_mut(&id).expect("conn exists");
+        // Responses flush in request order: only the ready prefix moves.
+        while let Some(PendingEntry {
+            response: Pending::Ready(response),
+            version,
+        }) = conn.pending.front()
+        {
+            conn.wbuf
+                .extend_from_slice(&encode_frame_in(*version, response));
+            conn.pending.pop_front();
+        }
+        if !conn.wbuf.is_empty() {
+            match conn.stream.write(&conn.wbuf) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    conn.wbuf.drain(..n);
+                }
+                Err(e) if is_transient(&e) => {}
+                Err(_) => return false,
+            }
+        }
+        !(conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty())
+    }
 
-            // Read everything available, then decode every complete
-            // frame in one pass.
-            if !conn.closed_read {
-                let mut read_any = false;
-                loop {
-                    match conn.stream.read(&mut scratch) {
-                        Ok(0) => {
-                            conn.closed_read = true;
-                            conn.close_after_flush = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.rbuf.extend_from_slice(&scratch[..n]);
-                            read_any = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            dead.push(id);
-                            break;
-                        }
+    /// Decodes every complete frame in the read buffer and handles each.
+    fn dispatch(&mut self, id: u64, conn: &mut Conn) {
+        // Fingerprint upload bodies straight off the wire while the
+        // payload bytes are still in hand — the shard worker then skips
+        // re-serializing the batch.
+        let drained =
+            drain_frames_with::<Request, _>(&mut conn.rbuf, |payload, req, version| match req {
+                Request::Upload(_) => upload_fingerprint_from_payload(payload, version),
+                _ => None,
+            });
+        match drained {
+            Ok(requests) => {
+                for (request, version, fingerprint) in requests {
+                    conn.version = version;
+                    self.handle_request(request, fingerprint, id, conn);
+                }
+            }
+            Err(err) => {
+                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+                conn.push_ready(Response::Error(err.to_string()));
+                conn.closed_read = true;
+                conn.close_after_flush = true;
+            }
+        }
+    }
+
+    fn handle_request(
+        &mut self,
+        request: Request,
+        wire_fingerprint: Option<u64>,
+        conn_id: u64,
+        conn: &mut Conn,
+    ) {
+        let shared = &*self.shared;
+        match request {
+            Request::Upload(batch) => {
+                let shard = shard_for(&batch.app, batch.device, self.senders.len());
+                let slot = self.next_slot;
+                self.next_slot += 1;
+                match self.senders[shard].try_send(ShardJob::Ingest {
+                    batch,
+                    fingerprint: wire_fingerprint,
+                    io: self.index,
+                    conn: conn_id,
+                    slot,
+                }) {
+                    Ok(()) => {
+                        shared.batches_accepted.fetch_add(1, Ordering::Relaxed);
+                        conn.push_waiting(slot);
                     }
-                }
-                if dead.last() == Some(&id) {
-                    continue;
-                }
-                if read_any {
-                    progressed = true;
-                    // Fingerprint upload bodies straight off the wire
-                    // while the payload bytes are still in hand — the
-                    // shard worker then skips re-serializing the batch.
-                    let drained =
-                        drain_frames_with::<Request, _>(&mut conn.rbuf, |payload, req, version| {
-                            match req {
-                                Request::Upload(_) => {
-                                    upload_fingerprint_from_payload(payload, version)
-                                }
-                                _ => None,
-                            }
+                    Err(TrySendError::Full(_)) => {
+                        shared.nacks_sent.fetch_add(1, Ordering::Relaxed);
+                        conn.push_ready(Response::Nack {
+                            retry_after_ms: shared.cfg.nack_retry_ms,
                         });
-                    match drained {
-                        Ok(requests) => {
-                            for (request, version, fingerprint) in requests {
-                                conn.version = version;
-                                handle_request(
-                                    request,
-                                    fingerprint,
-                                    id,
-                                    conn,
-                                    &mut next_slot,
-                                    &senders,
-                                    &done_tx,
-                                    &shared,
-                                    local,
-                                );
-                            }
-                        }
-                        Err(err) => {
-                            shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            conn.push_ready(Response::Error(err.to_string()));
-                            conn.closed_read = true;
-                            conn.close_after_flush = true;
-                        }
+                    }
+                    Err(TrySendError::Disconnected(_)) => {
+                        conn.push_ready(Response::Error("shard worker gone".to_string()));
                     }
                 }
             }
-
-            // Move the ready prefix of the pending queue into the
-            // write buffer (responses flush in request order).
-            while matches!(conn.pending.front(), Some(e) if e.response.is_some()) {
-                let entry = conn.pending.pop_front().expect("front checked");
-                let frame = encode_frame_in(entry.version, &entry.response.expect("response set"));
-                conn.wbuf.extend_from_slice(&frame);
-                progressed = true;
+            Request::Query { top_n } => {
+                conn.push_ready(Response::Report(shared.report(top_n)));
             }
-
-            // Flush as much of the write buffer as the socket takes.
-            if !conn.wbuf.is_empty() {
-                match conn.stream.write(&conn.wbuf) {
-                    Ok(0) => dead.push(id),
-                    Ok(n) => {
-                        conn.wbuf.drain(..n);
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => dead.push(id),
+            Request::Export => {
+                let snapshot = shared.fold_stores().snapshot();
+                conn.push_ready(Response::State(snapshot));
+            }
+            Request::Hello { supported } => match WireVersion::negotiate(&supported) {
+                Some(version) => {
+                    conn.version = version;
+                    conn.push_ready(Response::Welcome {
+                        schema: version.tag().to_string(),
+                    });
                 }
+                None => {
+                    conn.push_ready(Response::Error(format!(
+                        "no common dialect: server speaks {SUPPORTED_SCHEMAS:?}"
+                    )));
+                }
+            },
+            Request::Control(creq) => {
+                let response = shared
+                    .controller
+                    .lock()
+                    .expect("controller lock")
+                    .handle(creq);
+                conn.push_ready(Response::Control(response));
             }
-
-            let conn = conns.get_mut(&id).expect("conn exists");
-            if conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty() {
-                dead.push(id);
+            Request::Shutdown => {
+                conn.push_ready(Response::Bye);
+                conn.close_after_flush = true;
+                shared.stop(false);
             }
-        }
-        for id in dead {
-            conns.remove(&id);
-            progressed = true;
-        }
-
-        if shared.shutdown.load(Ordering::SeqCst) && conns.is_empty() && new_conns.is_empty() {
-            return;
-        }
-        if !progressed {
-            // Nothing moved: yield the core instead of spinning. 200 µs
-            // bounds idle-connection latency without starving the shard
-            // workers on small machines.
-            thread::sleep(Duration::from_micros(200));
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_request(
-    request: Request,
-    wire_fingerprint: Option<u64>,
-    conn_id: u64,
-    conn: &mut Conn,
-    next_slot: &mut u64,
-    senders: &[Sender<ShardJob>],
-    done_tx: &Sender<Completion>,
-    shared: &Shared,
-    local: SocketAddr,
-) {
-    match request {
-        Request::Upload(batch) => {
-            let shard = shard_for(&batch.app, batch.device, senders.len());
-            let slot = *next_slot;
-            *next_slot += 1;
-            match senders[shard].try_send(ShardJob::Ingest {
-                batch,
-                fingerprint: wire_fingerprint,
-                conn: conn_id,
-                slot,
-                done: done_tx.clone(),
-            }) {
-                Ok(()) => {
-                    shared.batches_accepted.fetch_add(1, Ordering::Relaxed);
-                    conn.push_waiting(slot);
-                }
-                Err(TrySendError::Full(_)) => {
-                    shared.nacks_sent.fetch_add(1, Ordering::Relaxed);
-                    conn.push_ready(Response::Nack {
-                        retry_after_ms: shared.cfg.nack_retry_ms,
-                    });
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    conn.push_ready(Response::Error("shard worker gone".to_string()));
-                }
-            }
-        }
-        Request::Query { top_n } => {
-            let report = shared.fold_stores().report(top_n);
-            conn.push_ready(Response::Report(report));
-        }
-        Request::Export => {
-            let snapshot = shared.fold_stores().snapshot();
-            conn.push_ready(Response::State(snapshot));
-        }
-        Request::Hello { supported } => match WireVersion::negotiate(&supported) {
-            Some(version) => {
-                conn.version = version;
-                conn.push_ready(Response::Welcome {
-                    schema: version.tag().to_string(),
-                });
-            }
-            None => {
-                conn.push_ready(Response::Error(format!(
-                    "no common dialect: server speaks {SUPPORTED_SCHEMAS:?}"
-                )));
-            }
-        },
-        Request::Control(creq) => {
-            let response = shared
-                .controller
-                .lock()
-                .expect("controller lock")
-                .handle(creq);
-            conn.push_ready(Response::Control(response));
-        }
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            conn.push_ready(Response::Bye);
-            conn.close_after_flush = true;
-            // Wake the acceptor out of its blocking accept; it sees the
-            // flag on the next iteration and exits.
-            let _ = TcpStream::connect(local);
-        }
-    }
+/// Errors after which the same I/O may succeed on a later pass.
+fn is_transient(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+    )
 }
 
 fn shard_worker(shard: usize, rx: Receiver<ShardJob>, mut wal: Option<Wal>, shared: Arc<Shared>) {
@@ -813,9 +1005,9 @@ fn shard_worker(shard: usize, rx: Receiver<ShardJob>, mut wal: Option<Wal>, shar
             ShardJob::Ingest {
                 batch,
                 fingerprint,
+                io,
                 conn,
                 slot,
-                done,
             } => {
                 let fingerprint = fingerprint.unwrap_or_else(|| batch_fingerprint(&batch));
                 let mut store = shared.stores[shard].lock().expect("store lock");
@@ -836,7 +1028,9 @@ fn shard_worker(shard: usize, rx: Receiver<ShardJob>, mut wal: Option<Wal>, shar
                 drop(store);
                 // The io worker may have dropped the connection; the
                 // apply above still counts.
-                let _ = done.send(Completion { conn, slot, result });
+                let inbox = &shared.inboxes[io];
+                let _ = inbox.done.send(Completion { conn, slot, result });
+                inbox.ring_if_parked();
 
                 if let Some(w) = wal.as_mut() {
                     if shared.cfg.snapshot_every > 0
