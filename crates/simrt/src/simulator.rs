@@ -69,10 +69,6 @@ pub struct RunSummary {
     pub actions_completed: usize,
 }
 
-/// Domain separation between a pulse's timing jitter and its accrual
-/// entropy, both funded by the same parent draw.
-const PULSE_ACCRUE_SALT: u64 = 0x9D0B_CB35_5BD1_E995;
-
 /// Priorities: workers < main/render < system.
 const PRIO_WORKER: u8 = 1;
 const PRIO_APP: u8 = 2;
@@ -88,14 +84,24 @@ struct ArrivedRequest {
     events: Vec<Vec<Step>>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// A running thread's segment-or-slice boundary on `core`.
+    /// A running app thread's segment-or-slice boundary on `core`.
     Core { core: usize, gen: u64 },
-    /// Wake a blocked thread (I/O done or system-pulse period).
+    /// Wake a blocked app thread (I/O done or a joined task finished).
     Wake { tid: usize },
     /// A probe timer fires.
     ProbeTimer { probe: usize, token: u64 },
+    /// The system thread pinned to `core` wakes for a burst.
+    PulseWake { core: usize },
+    /// The burst on `core` ends.
+    PulseEnd { core: usize },
+}
+
+impl Ev {
+    fn is_pulse(&self) -> bool {
+        matches!(self, Ev::PulseWake { .. } | Ev::PulseEnd { .. })
+    }
 }
 
 struct QEntry {
@@ -128,10 +134,9 @@ struct CoreSlot {
     gen: u64,
     slice_end: SimTime,
     accrue_from: SimTime,
-    /// Set while a system-pulse burst occupies the core with its CPU
-    /// time already accrued at wake (the pulse fast path); incremental
-    /// accrual must skip the core until the burst's Core event frees it.
-    preaccrued: bool,
+    /// The system thread pinned to this core. While it runs, its burst's
+    /// clocks are already booked, so incremental accrual skips the core.
+    pulse_tid: usize,
     /// Next wake period of the pulse pinned to this core, drawn at wake
     /// together with the burst length so one parent draw funds the whole
     /// pulse cycle.
@@ -217,6 +222,9 @@ pub(crate) struct World {
     cfg: SimConfig,
     now: SimTime,
     queue: BinaryHeap<QEntry>,
+    /// Entries on `queue` that are not pulse events. When it is zero and
+    /// nothing is ready, the run is in an idle gap (see `idle_gap`).
+    non_pulse: usize,
     seq: u64,
     threads: Vec<SimThread>,
     ready: [VecDeque<usize>; NUM_PRIOS],
@@ -288,6 +296,7 @@ impl World {
         let mut world = World {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            non_pulse: 0,
             seq: 0,
             threads,
             ready: Default::default(),
@@ -328,26 +337,34 @@ impl World {
                     period_ns: world.cfg.system_period_ns,
                     jitter: 0.45,
                     burst_ns: world.cfg.system_burst_ns,
-                    profile: MemProfile::system(),
                 },
             );
             t.affinity = Some(core);
             t.state = ThreadState::Blocked;
             world.threads.push(t);
+            world.cores[core].pulse_tid = tid;
             let offset = world.rng.uniform_u64(0, world.cfg.system_period_ns.max(1));
-            world.push_ev(SimTime(offset), Ev::Wake { tid });
+            world.push_ev(SimTime(offset), Ev::PulseWake { core });
         }
         world
     }
 
-    fn push_ev(&mut self, at: SimTime, ev: Ev) {
-        let at = at.max(self.now);
+    /// Stamps an event with the next sequence number (never in the past).
+    fn stamp(&mut self, at: SimTime, ev: Ev) -> QEntry {
         self.seq += 1;
-        self.queue.push(QEntry {
-            at,
+        QEntry {
+            at: at.max(self.now),
             seq: self.seq,
             ev,
-        });
+        }
+    }
+
+    fn push_ev(&mut self, at: SimTime, ev: Ev) {
+        if !ev.is_pulse() {
+            self.non_pulse += 1;
+        }
+        let entry = self.stamp(at, ev);
+        self.queue.push(entry);
     }
 
     fn app_quiet(&self) -> bool {
@@ -417,14 +434,14 @@ impl World {
 
     /// Accrues CPU time of the thread running on `core` up to `self.now`.
     fn accrue_running(&mut self, core: usize) {
-        // A pre-accrued pulse burst already booked its whole CPU time at
-        // wake; there is nothing incremental to account (and no exec).
-        if self.cores[core].preaccrued {
-            return;
-        }
         let Some(tid) = self.cores[core].running else {
             return;
         };
+        // A pulse booked its whole burst at wake; there is nothing
+        // incremental to account (and no exec).
+        if tid == self.cores[core].pulse_tid {
+            return;
+        }
         let elapsed = self.now - self.cores[core].accrue_from;
         self.cores[core].accrue_from = self.now;
         if elapsed == 0 {
@@ -694,7 +711,7 @@ impl World {
                     self.push_ev(self.now, Ev::Wake { tid: w });
                 }
             }
-            WorkItem::RenderFrame | WorkItem::WorkerTask | WorkItem::SystemBurst => {}
+            WorkItem::RenderFrame | WorkItem::WorkerTask => {}
         }
     }
 
@@ -714,7 +731,7 @@ impl World {
             WorkSource::WorkerQueue => Src::Worker,
             WorkSource::ExecutorQueue { executor } => Src::Executor(*executor),
             WorkSource::Pulse { .. } => {
-                unreachable!("pulse threads run on the pre-accrued fast path")
+                unreachable!("pulse threads run on the pulse path, not from a queue")
             }
         };
         match source {
@@ -963,10 +980,6 @@ impl World {
             return;
         }
         let tid = self.cores[core].running.expect("core event without thread");
-        if self.cores[core].preaccrued {
-            self.finish_pulse_burst(tid, core);
-            return;
-        }
         self.accrue_running(core);
         let finished = matches!(
             self.threads[tid]
@@ -1010,84 +1023,105 @@ impl World {
         }
     }
 
-    fn handle_wake(&mut self, tid: usize) {
-        if matches!(self.threads[tid].source, WorkSource::Pulse { .. }) {
-            self.begin_pulse_burst(tid);
-            return;
-        }
-        self.advance_thread(tid);
-        self.schedule();
-    }
-
-    /// System-pulse fast path. A pulse thread is pinned to one core at
-    /// the highest priority, so its burst always runs uninterrupted from
-    /// the wake instant: nothing can preempt it, its slice (10 ms)
-    /// outlasts the burst (~350 µs), and only one pulse exists per core.
-    /// That licenses accruing the whole burst here, at wake, and parking
-    /// a `preaccrued` marker on the core instead of building an exec and
-    /// pushing the thread through the ready queue and scheduler. One
-    /// parent RNG draw per pulse cycle, fanned out, funds the burst
-    /// length, the next wake period (stashed in the core slot), and the
-    /// accrual entropy — deterministic per seed like everything else.
-    fn begin_pulse_burst(&mut self, tid: usize) {
-        let (period_ns, jitter, burst_ns, profile) = match &self.threads[tid].source {
-            WorkSource::Pulse {
-                period_ns,
-                jitter,
-                burst_ns,
-                profile,
-            } => (*period_ns, *jitter, *burst_ns, *profile),
-            _ => unreachable!("begin_pulse_burst on a non-pulse thread"),
+    /// Starts the burst of the pulse pinned to `core` and returns the
+    /// event that ends it. A pulse thread is pinned at the highest
+    /// priority, its burst (~350 µs) is shorter than a slice (10 ms), and
+    /// there is one per core, so nothing can preempt it: the whole burst
+    /// is decided here. One parent draw (`entropy`, taken by the caller
+    /// before it evicts anything) funds the burst length and the next
+    /// wake period. The burst books only kernel events — task-clock and
+    /// cpu-clock now, the context switch at its end — since no probe
+    /// reads a system thread's PMU events. The core must be free.
+    fn pulse_wake(&mut self, core: usize, entropy: u64) -> (SimTime, Ev) {
+        let tid = self.cores[core].pulse_tid;
+        let WorkSource::Pulse {
+            period_ns,
+            jitter,
+            burst_ns,
+        } = self.threads[tid].source
+        else {
+            unreachable!("the thread pinned to core {core} is not a pulse");
         };
-        let core = self.threads[tid].affinity.expect("pulse thread unpinned");
-        let entropy = self.rng.next_u64();
         let mut fan = JitterFan::new(entropy);
         let ns = (((burst_ns as f64) * fan.jitter(0.5)) as u64).max(1);
         let period = (((period_ns as f64) * fan.jitter(jitter)) as u64).max(1);
-        let preempted = self.cores[core].running.is_some();
-        if preempted {
-            self.preempt(core);
-        }
-        {
-            let th = &mut self.threads[tid];
-            th.state = ThreadState::Running { core };
-            th.last_core = Some(core);
-            profile.accrue_seeded(&mut th.counters, ns, entropy ^ PULSE_ACCRUE_SALT);
-        }
+        let th = &mut self.threads[tid];
+        th.state = ThreadState::Running { core };
+        th.counters.add(HwEvent::TaskClock, ns as f64);
+        th.counters.add(HwEvent::CpuClock, ns as f64);
         let slot = &mut self.cores[core];
         slot.running = Some(tid);
         slot.gen += 1;
-        slot.preaccrued = true;
         slot.pulse_period = period;
-        slot.slice_end = self.now + self.cfg.timeslice_ns;
-        slot.accrue_from = self.now;
-        let gen = slot.gen;
-        self.push_ev(self.now + ns, Ev::Core { core, gen });
-        if preempted {
-            // The evicted thread may be able to migrate to a free core.
-            self.schedule();
-        }
+        (self.now + ns, Ev::PulseEnd { core })
     }
 
-    /// Ends a pre-accrued pulse burst: frees the core, counts the pulse's
-    /// context switch, and arms the wake drawn at burst start.
-    fn finish_pulse_burst(&mut self, tid: usize, core: usize) {
+    /// Ends the burst on `core`: frees the core, counts the pulse's
+    /// context switch, and returns the wake drawn at burst start.
+    fn pulse_end(&mut self, core: usize) -> (SimTime, Ev) {
         let slot = &mut self.cores[core];
+        let tid = slot.pulse_tid;
         debug_assert_eq!(slot.running, Some(tid));
         slot.running = None;
         slot.gen += 1;
-        slot.preaccrued = false;
         let period = slot.pulse_period;
         let th = &mut self.threads[tid];
         th.counters.add(HwEvent::ContextSwitches, 1.0);
         th.state = ThreadState::Blocked;
-        self.push_ev(self.now + period, Ev::Wake { tid });
-        // Freeing a core only matters if some thread is waiting for one;
-        // on an idle device (the common case between actions) the ready
-        // queues are empty and the scheduler pass would be a no-op.
-        if self.ready.iter().any(|q| !q.is_empty()) {
-            self.schedule();
+        (self.now + period, Ev::PulseWake { core })
+    }
+
+    /// Advances an idle gap in place. With no app event on the heap and
+    /// nothing ready, only pulses can fire before the next staged arrival:
+    /// a running app thread always has a live `Core` event, a thread
+    /// blocked on a timed step a `Wake`, a probe timer a `ProbeTimer`
+    /// (and a stale `Core` keeps the gap closed until it is popped). So
+    /// the per-core pulse cycles advance here, in `(at, seq)` order, with
+    /// the same draws, sequence numbers and core generations the heap
+    /// path would use, up to the next arrival or the horizon. The pulse
+    /// entries then go back on the heap, where the run loop takes the
+    /// arrival, or truncates at the horizon, exactly as before.
+    fn idle_gap(&mut self) {
+        // `(at, seq)` packed into one integer: finding the earliest pulse
+        // costs one compare per core.
+        let key = |at: SimTime, seq: u64| (u128::from(at.as_ns()) << 64) | u128::from(seq);
+        let horizon = key(SimTime(self.cfg.max_sim_ns), u64::MAX);
+        let last = match self.arrivals.front() {
+            Some(&(at, seq, _)) => key(at, seq).min(horizon),
+            None => horizon,
+        };
+        let mut pulses = std::mem::take(&mut self.queue).into_vec();
+        loop {
+            let (mut i, mut first) = (0, u128::MAX);
+            for (k, e) in pulses.iter().enumerate() {
+                if key(e.at, e.seq) < first {
+                    (i, first) = (k, key(e.at, e.seq));
+                }
+            }
+            // Keys are unique, so `>=` is `>` here, and no pulses at all
+            // (a zero-core device) stops at once.
+            if first >= last {
+                break;
+            }
+            self.now = pulses[i].at;
+            let (at, next) = match pulses[i].ev {
+                Ev::PulseWake { core } => {
+                    let entropy = self.rng.next_u64();
+                    debug_assert!(self.cores[core].running.is_none(), "idle pulse preempts");
+                    self.pulse_wake(core, entropy)
+                }
+                Ev::PulseEnd { core } => {
+                    debug_assert!(
+                        self.ready.iter().all(VecDeque::is_empty),
+                        "idle burst end with a ready thread"
+                    );
+                    self.pulse_end(core)
+                }
+                ev => unreachable!("app event {ev:?} on the heap in an idle gap"),
+            };
+            pulses[i] = self.stamp(at, next);
         }
+        self.queue = BinaryHeap::from(pulses);
     }
 
     fn handle_arrive(&mut self, req: ArrivedRequest) {
@@ -1134,11 +1168,38 @@ impl World {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Core { core, gen } => self.handle_core(core, gen),
-            Ev::Wake { tid } => self.handle_wake(tid),
+            Ev::Wake { tid } => {
+                self.advance_thread(tid);
+                self.schedule();
+            }
             Ev::ProbeTimer { probe, token } => {
                 self.pending_probe_timers -= 1;
                 self.monitor.timer_fires += 1;
                 self.notices.push(Notice::Timer { probe, token });
+            }
+            Ev::PulseWake { core } => {
+                // The pulse's draw precedes the evicted thread's closing
+                // accrual draw.
+                let entropy = self.rng.next_u64();
+                let evict = self.cores[core].running.is_some();
+                if evict {
+                    self.preempt(core);
+                }
+                let (at, next) = self.pulse_wake(core, entropy);
+                self.push_ev(at, next);
+                if evict {
+                    // The evicted thread may be able to migrate to a free core.
+                    self.schedule();
+                }
+            }
+            Ev::PulseEnd { core } => {
+                let (at, next) = self.pulse_end(core);
+                self.push_ev(at, next);
+                // Freeing a core only matters if some thread is waiting
+                // for one.
+                if self.ready.iter().any(|q| !q.is_empty()) {
+                    self.schedule();
+                }
             }
         }
     }
@@ -1377,6 +1438,9 @@ impl Simulator {
             if self.world.app_quiet() {
                 break;
             }
+            if self.world.non_pulse == 0 && self.world.ready.iter().all(VecDeque::is_empty) {
+                self.world.idle_gap();
+            }
             // The next event is the earlier of the staged-arrival head and
             // the transient-event heap top; (at, seq) is a total order, so
             // this is exactly the order one shared queue would produce.
@@ -1402,6 +1466,9 @@ impl Simulator {
                 self.world.handle_arrive(req);
             } else {
                 let entry = self.world.queue.pop().expect("checked above");
+                if !entry.ev.is_pulse() {
+                    self.world.non_pulse -= 1;
+                }
                 self.world.handle(entry.ev);
             }
             if !self.world.notices.is_empty() {
@@ -1516,7 +1583,8 @@ impl Simulator {
         self.world.names.get(id)
     }
 
-    /// Reads the final ground-truth count of `event` on `tid`.
+    /// Reads the final ground-truth count of `event` on `tid`. System
+    /// threads count kernel clock and context-switch events only.
     pub fn thread_counter(&self, tid: ThreadId, event: HwEvent) -> f64 {
         self.world.threads[tid.0].counters.get(event)
     }
@@ -1883,6 +1951,41 @@ mod tests {
         let summary = sim.run();
         assert_eq!(summary.actions_completed, 1);
         assert_eq!(sim.records()[0].max_response_ns(), 0);
+    }
+
+    #[test]
+    fn system_threads_count_kernel_events_only() {
+        let mut table = FrameTable::new();
+        let ev = ui_event(&mut table, 30, 5);
+        let mut sim = one_action_sim(vec![ev], table);
+        sim.run();
+        let threads = &sim.world.threads;
+        let pulses: Vec<&SimThread> = threads
+            .iter()
+            .filter(|t| t.kind == ThreadKind::System)
+            .collect();
+        assert_eq!(pulses.len(), SimConfig::default().cores);
+        for t in pulses {
+            let clock = t.counters.get(HwEvent::TaskClock);
+            assert!(clock > 0.0, "{} task-clock", t.name);
+            assert_eq!(t.counters.get(HwEvent::CpuClock), clock, "{}", t.name);
+            assert!(t.counters.get(HwEvent::ContextSwitches) > 0.0, "{}", t.name);
+            for event in HwEvent::ALL {
+                if !matches!(
+                    event,
+                    HwEvent::TaskClock | HwEvent::CpuClock | HwEvent::ContextSwitches
+                ) {
+                    assert_eq!(t.counters.get(event), 0.0, "{} {event:?}", t.name);
+                }
+            }
+        }
+        // The app threads the S-Checker reads still carry PMU events.
+        for tid in [sim.main_tid(), sim.render_tid()] {
+            let bank = &threads[tid.0].counters;
+            assert!(bank.get(HwEvent::Instructions) > 0.0, "{tid:?}");
+            assert!(bank.get(HwEvent::CacheMisses) > 0.0, "{tid:?}");
+            assert!(bank.get(HwEvent::PageFaults) > 0.0, "{tid:?}");
+        }
     }
 
     #[test]

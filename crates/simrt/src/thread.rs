@@ -13,7 +13,7 @@ use crate::counters::CounterBank;
 use crate::frame::FrameId;
 use crate::looper::MessageInfo;
 use crate::time::SimTime;
-use crate::work::{MemProfile, Step};
+use crate::work::Step;
 
 /// Dense thread identifier within one simulation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,8 +63,6 @@ pub enum WorkItem {
         /// Global task id in the simulator's task table.
         task: u64,
     },
-    /// A periodic system burst.
-    SystemBurst,
 }
 
 /// Where a thread pulls its next work item from.
@@ -81,7 +79,8 @@ pub enum WorkSource {
         /// Executor index in the simulator's executor table.
         executor: usize,
     },
-    /// Self-generates periodic bursts (system threads).
+    /// Self-generates periodic bursts (system threads). A burst counts
+    /// kernel events only: task-clock, cpu-clock and context switches.
     Pulse {
         /// Nominal wake period.
         period_ns: u64,
@@ -89,8 +88,6 @@ pub enum WorkSource {
         jitter: f64,
         /// Nominal burst CPU time per wake.
         burst_ns: u64,
-        /// Event profile of the burst.
-        profile: MemProfile,
     },
 }
 
@@ -150,7 +147,9 @@ pub struct SimThread {
     pub priority: u8,
     /// Current scheduling state.
     pub state: ThreadState,
-    /// Ground-truth performance counters.
+    /// Ground-truth performance counters. System threads count kernel
+    /// clock and context-switch events only; their PMU and page-fault
+    /// events stay at zero.
     pub counters: CounterBank,
     /// Bytes this thread transferred over the network.
     pub net_bytes: u64,
@@ -233,7 +232,6 @@ mod tests {
                 period_ns: 1,
                 jitter: 0.0,
                 burst_ns: 1,
-                profile: MemProfile::system(),
             },
         );
         assert!(!t.is_app());

@@ -163,20 +163,10 @@ impl MemProfile {
         if cpu_ns == 0 {
             return;
         }
-        self.accrue_seeded(bank, cpu_ns, rng.next_u64());
-    }
-
-    /// [`MemProfile::accrue`] with the parent draw supplied by the
-    /// caller. The simulator's pulse fast path uses this to fund a whole
-    /// burst (timing jitter and accrual) from a single parent draw.
-    pub fn accrue_seeded(&self, bank: &mut CounterBank, cpu_ns: u64, entropy: u64) {
-        if cpu_ns == 0 {
-            return;
-        }
         let ns = cpu_ns as f64;
         bank.add(HwEvent::TaskClock, ns);
         bank.add(HwEvent::CpuClock, ns);
-        self.accrue_derived(bank, ns, entropy);
+        self.accrue_derived(bank, ns, rng.next_u64());
     }
 
     /// Accrues the jittered derived PMU events for `ns` nanoseconds of

@@ -4,8 +4,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use hd_simrt::{
-    ActionRequest, ActionUid, FrameTable, HwEvent, MemProfile, MessageInfo, Probe, ProbeCtx,
-    SimConfig, SimTime, Simulator, Step, TimelineRecorder, MILLIS,
+    ActionInfo, ActionRequest, ActionUid, FrameTable, HwEvent, MemProfile, MessageInfo, Probe,
+    ProbeCtx, SimConfig, SimTime, Simulator, Step, TimelineRecorder, MILLIS,
 };
 
 fn table_with_frames() -> (FrameTable, hd_simrt::FrameId) {
@@ -304,4 +304,156 @@ fn preemption_rate_is_invariant_to_core_count() {
     );
     // And there is real preemption happening at all (not idle).
     assert!(cs2 > 20.0, "cs2 = {cs2}");
+}
+
+/// FNV-1a over the little-endian bytes of a word stream.
+fn fnv1a(words: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn idle_gaps_keep_the_pulse_schedule() {
+    // Between actions only the per-core system pulses run. At each
+    // action's begin the probe pins where the gap left the clock, the
+    // shared random stream (one jitter draw: its value moves if the gap
+    // consumed a different number of pulse draws) and main's kernel
+    // counters; the digest also covers the run summary. The constants
+    // were captured from the heap-only scheduler, so a faster idle path
+    // must replay the gaps exactly.
+    struct GapProbe(Rc<RefCell<Vec<u64>>>);
+    impl Probe for GapProbe {
+        fn on_action_begin(&mut self, ctx: &mut ProbeCtx<'_>, _info: &ActionInfo) {
+            let main = ctx.main_tid();
+            let words = [
+                ctx.now().as_ns(),
+                ctx.jitter(0.5).to_bits(),
+                ctx.counter(main, HwEvent::ContextSwitches).to_bits(),
+                ctx.counter(main, HwEvent::TaskClock).to_bits(),
+            ];
+            self.0.borrow_mut().extend(words);
+        }
+    }
+    let run = |cores: usize| {
+        let mut t = FrameTable::new();
+        let f = t.intern_new("edge.App.onClick", "App.java", 1);
+        let g = t.intern_new("edge.Db.query", "Db.java", 2);
+        let mut sim = Simulator::new(
+            SimConfig {
+                cores,
+                seed: 7,
+                ..SimConfig::default()
+            },
+            t,
+        );
+        let executor = sim.add_executor("SerialExecutor", 1) as u32;
+        let task = |io_ms: u64| {
+            vec![
+                Step::Push(g),
+                Step::Io { ns: io_ms * MILLIS },
+                cpu(5),
+                Step::Pop,
+            ]
+        };
+        let actions = [
+            (1_000, vec![Step::Push(f), cpu(40), Step::Pop]),
+            (
+                2_500,
+                vec![
+                    Step::Push(f),
+                    cpu(2),
+                    Step::Io { ns: 30 * MILLIS },
+                    Step::PostRender {
+                        frames: 6,
+                        frame_ns: 4 * MILLIS,
+                    },
+                    Step::Pop,
+                ],
+            ),
+            (
+                4_000,
+                vec![
+                    Step::Push(f),
+                    Step::PostTask {
+                        executor,
+                        token: 0,
+                        steps: task(20),
+                    },
+                    cpu(3),
+                    Step::JoinTask { token: 0 },
+                    Step::Pop,
+                ],
+            ),
+            (
+                5_200,
+                vec![
+                    Step::Push(f),
+                    Step::PostWorker(vec![Step::Io { ns: 50 * MILLIS }, cpu(10)]),
+                    cpu(5),
+                    Step::Pop,
+                ],
+            ),
+            (
+                7_000,
+                vec![
+                    Step::Push(f),
+                    Step::Cpu {
+                        ns: 25 * MILLIS,
+                        profile: MemProfile::memory_heavy(),
+                    },
+                    Step::Pop,
+                ],
+            ),
+            (
+                8_100,
+                vec![
+                    Step::Push(f),
+                    Step::PostTask {
+                        executor,
+                        token: 0,
+                        steps: task(100),
+                    },
+                    cpu(1),
+                    Step::Pop,
+                ],
+            ),
+        ];
+        for (i, (at_ms, steps)) in actions.into_iter().enumerate() {
+            sim.schedule_action(
+                SimTime::from_ms(at_ms),
+                ActionRequest {
+                    uid: ActionUid(i as u64),
+                    name: format!("gap {i}"),
+                    events: vec![steps],
+                },
+            );
+        }
+        let words = Rc::new(RefCell::new(Vec::new()));
+        sim.add_probe(Box::new(GapProbe(words.clone())));
+        let summary = sim.run();
+        assert!(!summary.truncated);
+        assert_eq!(summary.actions_completed, 6);
+        let mut words = words.take();
+        assert_eq!(words.len(), 6 * 4, "one record per action begin");
+        words.extend([
+            summary.ended_at.as_ns(),
+            u64::from(summary.truncated),
+            summary.actions_completed as u64,
+        ]);
+        fnv1a(&words)
+    };
+    for (cores, expected) in [
+        (2, 0x0a6c_9de5_e320_aea1),
+        (4, 0xa90e_0bc9_3729_d8b2),
+        (8, 0x2575_93c7_b3cd_c571),
+    ] {
+        let got = run(cores);
+        assert_eq!(got, expected, "{cores} cores: digest {got:#018x}");
+    }
 }

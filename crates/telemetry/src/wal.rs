@@ -293,11 +293,15 @@ impl Wal {
 }
 
 /// Writes a compaction snapshot durably: frame (magic + length + CRC +
-/// canonical JSON), to a temp file, then an atomic rename.
+/// canonical JSON) to a temp file and sync it, atomically rename it over
+/// `path`, then sync the directory so the rename itself survives a power
+/// loss before the caller truncates the WAL.
 pub fn write_snapshot(path: &Path, snapshot: &StoreSnapshot) -> Result<(), TelemetryError> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
     let json = serde_json::to_string(snapshot).expect("snapshot serializes");
     let payload = json.as_bytes();
     let mut framed = Vec::with_capacity(12 + payload.len());
@@ -306,8 +310,11 @@ pub fn write_snapshot(path: &Path, snapshot: &StoreSnapshot) -> Result<(), Telem
     framed.extend_from_slice(&crc32(payload).to_be_bytes());
     framed.extend_from_slice(payload);
     let tmp = path.with_extension("snap.tmp");
-    std::fs::write(&tmp, &framed)?;
+    let mut file = File::create(&tmp)?;
+    file.write_all(&framed)?;
+    file.sync_all()?;
     std::fs::rename(&tmp, path)?;
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
