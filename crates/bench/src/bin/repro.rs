@@ -532,8 +532,9 @@ fn replay(o: &Opts) -> Result<(), String> {
         dirs.extend(entries.flatten().map(|e| e.path()).filter(node));
     }
     dirs.sort();
-    let mut store = hd_telemetry::AggregationStore::new();
-    let (mut shards, mut batches) = (0usize, 0usize);
+    // Each shard is recovered read-only: the files are read, never
+    // opened for append, so a torn tail stays on disk as it was.
+    let (mut stores, mut batches) = (Vec::new(), 0usize);
     for dir in &dirs {
         for shard in 0.. {
             let (wal_file, snap_file) = (wal::wal_path(dir, shard), wal::snapshot_path(dir, shard));
@@ -541,29 +542,29 @@ fn replay(o: &Opts) -> Result<(), String> {
                 break;
             }
             let at = |file: &PathBuf, e: &dyn std::fmt::Display| format!("{}: {e}", file.display());
-            if let Some(snap) = wal::read_snapshot(&snap_file).map_err(|e| at(&snap_file, &e))? {
-                store.absorb(&snap);
-            }
+            let snap = wal::read_snapshot(&snap_file).map_err(|e| at(&snap_file, &e))?;
+            let mut records = Vec::new();
             if wal_file.exists() {
                 let bytes = std::fs::read(&wal_file).map_err(|e| at(&wal_file, &e))?;
-                let replay = wal::scan_wal(&bytes).map_err(|e| at(&wal_file, &e))?;
-                batches += replay.batches.len();
-                for rec in &replay.batches {
-                    store.ingest_prehashed(&rec.batch, rec.fingerprint);
-                }
+                records = wal::scan_wal(&bytes)
+                    .map_err(|e| at(&wal_file, &e))?
+                    .batches;
             }
-            shards += 1;
+            batches += records.len();
+            stores.push(wal::restore(snap.as_ref(), &records));
         }
     }
-    if shards == 0 {
+    if stores.is_empty() {
         return Err(format!(
             "no shard-*.wal or shard-*.snap files under {}",
             root.display()
         ));
     }
-    let report = store.report(o.get("top"));
+    let parts: Vec<&hd_telemetry::AggregationStore> = stores.iter().collect();
+    let report = hd_telemetry::AggregationStore::fold_report(&parts, o.get("top"));
     let text = format!(
-        "replayed {batches} batches from {shards} shard log(s) under {}\n\n{}",
+        "replayed {batches} batches from {} shard log(s) under {}\n\n{}",
+        stores.len(),
         root.display(),
         report.render()
     );
@@ -644,6 +645,85 @@ mod tests {
         assert_eq!(o.get::<u32>("threads"), 1);
         assert_eq!(o.raw("json"), Some(""));
         assert!(parse(["--devices", "0"].iter().map(|a| a.to_string())).is_none());
+    }
+
+    #[test]
+    fn replay_folds_a_torn_log_without_touching_it() {
+        use hangdoctor::{HangBugReport, RootCause, RootKind};
+        use hd_telemetry::wal::{self, WalBatch, WalHeader, WalRecord};
+        use hd_telemetry::{AggregationStore, TelemetryItem, TelemetryReport, UploadBatch};
+
+        let dir = std::env::temp_dir().join(format!("hd-repro-replay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let batch = |device| {
+            let mut report = HangBugReport::new("k9mail");
+            let uid = hd_simrt::ActionUid(1);
+            report.note_execution(device, uid, "onOpen");
+            let root = RootCause {
+                symbol: "java.io.File.read".to_string(),
+                file: "Open.java".to_string(),
+                line: 31,
+                occurrence_factor: 1.0,
+                kind: RootKind::BlockingApi,
+            };
+            report.record_bug(device, uid, &root, 150_000_000);
+            UploadBatch {
+                app: "k9mail".to_string(),
+                device,
+                seq: 0,
+                items: vec![TelemetryItem::Report(report)],
+            }
+        };
+        let record = |b: &UploadBatch| {
+            wal::encode_record(&WalRecord::Batch(WalBatch {
+                fingerprint: hd_telemetry::batch_fingerprint(b),
+                batch: b.clone(),
+            }))
+        };
+        let (kept, torn) = (batch(1), batch(2));
+        let mut log = wal::encode_record(&WalRecord::Header(WalHeader {
+            schema: wal::WAL_SCHEMA.to_string(),
+            node: 0,
+            shard: 0,
+        }));
+        log.extend(record(&kept));
+        let tail = record(&torn);
+        log.extend(&tail[..tail.len() - 7]);
+        let log_file = wal::wal_path(&dir, 0);
+        std::fs::write(&log_file, &log).unwrap();
+
+        let out = dir.join("replayed.json");
+        let args = [
+            "replay",
+            "--wal",
+            dir.to_str().unwrap(),
+            "--top",
+            "5",
+            "--json",
+        ];
+        let args = args
+            .iter()
+            .map(|a| a.to_string())
+            .chain([out.display().to_string()]);
+        let (o, _) = parse(args).expect("valid line");
+        replay(&o).expect("replay succeeds");
+
+        assert_eq!(
+            std::fs::read(&log_file).unwrap(),
+            log,
+            "the log is untouched"
+        );
+        let mut want = AggregationStore::new();
+        want.ingest(&kept);
+        let got: TelemetryReport =
+            serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(
+            got,
+            want.report(5),
+            "the complete record folds, the torn one does not"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -73,21 +73,16 @@ struct EntryAcc {
 }
 
 impl EntryAcc {
-    fn hangs(&self) -> u64 {
-        self.devices.values().map(|e| e.hangs).sum()
-    }
-
-    fn total_hang_ns(&self) -> u64 {
-        self.devices.values().map(|e| e.total_hang_ns).sum()
+    /// The site's rank when one symbol was diagnosed at two sites: the
+    /// smallest wins, so merge order cannot matter. A named file beats an
+    /// unnamed one, then `(file, line)` decides.
+    fn site(&self) -> (bool, &str, u32) {
+        (self.file.is_empty(), &self.file, self.line)
     }
 
     /// Semilattice join with another accumulator for the same symbol.
     fn join(&mut self, other: &EntryAcc) {
-        // Location conflicts (same symbol diagnosed at two sites) resolve
-        // to the smallest (file, line) so that merge order cannot matter.
-        if !other.file.is_empty()
-            && (self.file.is_empty() || (&other.file, other.line) < (&self.file, self.line))
-        {
+        if other.site() < self.site() {
             self.file = other.file.clone();
             self.line = other.line;
         }
@@ -197,30 +192,59 @@ impl HangBugReport {
 
     /// Report rows ordered by occurrence percentage (Figure 2(b)).
     pub fn entries(&self) -> Vec<ReportEntry> {
-        let mut rows: Vec<ReportEntry> = self
-            .entries
-            .iter()
-            .map(|(sym, acc)| {
-                let uid = self.bug_actions.get(sym);
-                let action_executions = uid
-                    .and_then(|u| self.action_executions.get(u))
-                    .map(|devices| devices.values().sum())
-                    .unwrap_or(0);
+        HangBugReport::joined_entries(&[self])
+    }
+
+    /// The rows of the report that [`merge`]-folding `parts` (one app's
+    /// partial reports) would build, read from the parts in place: equal
+    /// to the fold's [`entries`] for any split, a device in several parts
+    /// included. Each root cause joins its parts' evidence by the merge
+    /// rules; only the action it names joins executions and a name.
+    ///
+    /// [`merge`]: HangBugReport::merge
+    /// [`entries`]: HangBugReport::entries
+    pub fn joined_entries(parts: &[&HangBugReport]) -> Vec<ReportEntry> {
+        let mut accs: Vec<(&String, &EntryAcc)> = parts.iter().flat_map(|p| &p.entries).collect();
+        accs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut rows: Vec<ReportEntry> = accs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let symbol = group[0].0;
+                let site = group
+                    .iter()
+                    .map(|(_, acc)| acc)
+                    .min_by(|a, b| a.site().cmp(&b.site()))
+                    .expect("chunks are non-empty");
+                let (mut devices, mut hangs, mut total_hang_ns) = (0, 0u64, 0u64);
+                join_per_device(group.iter().map(|(_, acc)| &acc.devices), |e| {
+                    devices += 1;
+                    hangs += e.hangs;
+                    total_hang_ns += e.total_hang_ns;
+                });
+                let uid = parts.iter().filter_map(|p| p.bug_actions.get(symbol)).min();
+                let mut action_executions = 0;
+                if let Some(uid) = uid {
+                    let runs = parts.iter().filter_map(|p| p.action_executions.get(uid));
+                    join_per_device(runs, |count| action_executions += count);
+                }
                 let action = uid
-                    .and_then(|u| self.action_names.get(u))
+                    .and_then(|uid| parts.iter().filter_map(|p| p.action_names.get(uid)).min())
                     .cloned()
                     .unwrap_or_default();
-                let hangs = acc.hangs();
                 ReportEntry {
-                    symbol: sym.clone(),
-                    file: acc.file.clone(),
-                    line: acc.line,
-                    kind: acc.kind.unwrap_or(RootKind::BlockingApi),
+                    symbol: symbol.clone(),
+                    file: site.file.clone(),
+                    line: site.line,
+                    kind: group
+                        .iter()
+                        .filter_map(|(_, acc)| acc.kind)
+                        .min()
+                        .unwrap_or(RootKind::BlockingApi),
                     action,
-                    devices: acc.devices.len(),
+                    devices,
                     hangs,
                     action_executions,
-                    mean_hang_ns: acc.total_hang_ns().checked_div(hangs).unwrap_or(0),
+                    mean_hang_ns: total_hang_ns.checked_div(hangs).unwrap_or(0),
                 }
             })
             .collect();
@@ -252,6 +276,30 @@ impl HangBugReport {
         }
         out
     }
+}
+
+/// Joins per-device cells across maps by maximum, as [`HangBugReport::merge`]
+/// does, and hands `visit` each device's joined cell once. A lone map
+/// is read in place.
+fn join_per_device<'a, V: Copy + Ord + 'a>(
+    mut maps: impl Iterator<Item = &'a HashMap<u32, V>>,
+    mut visit: impl FnMut(V),
+) {
+    let Some(first) = maps.next() else {
+        return;
+    };
+    let Some(second) = maps.next() else {
+        first.values().for_each(|v| visit(*v));
+        return;
+    };
+    let mut joined = first.clone();
+    for map in std::iter::once(second).chain(maps) {
+        for (device, v) in map {
+            let cell = joined.entry(*device).or_insert(*v);
+            *cell = (*cell).max(*v);
+        }
+    }
+    joined.into_values().for_each(visit);
 }
 
 #[cfg(test)]
@@ -360,6 +408,39 @@ mod tests {
         assert_eq!(rows[0].hangs, 2);
         assert_eq!(rows[0].action_executions, 2);
         assert_eq!(rows[0].mean_hang_ns, 200);
+    }
+
+    #[test]
+    fn merge_resolves_unnamed_sites_order_independently() {
+        let at = |line| {
+            let mut r = HangBugReport::new("App");
+            let site = RootCause {
+                file: String::new(),
+                line,
+                ..root("x.y")
+            };
+            r.record_bug(1, ActionUid(1), &site, 10);
+            r
+        };
+        let (a, b) = (at(5), at(3));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(
+            serde_json::to_string(&ab).unwrap(),
+            serde_json::to_string(&ba).unwrap()
+        );
+        assert_eq!(ab.entries()[0].line, 3);
+        // A named site still beats an unnamed one, in either order.
+        let mut named = HangBugReport::new("App");
+        named.record_bug(2, ActionUid(1), &root("x.y"), 10);
+        let mut left = named.clone();
+        left.merge(&b);
+        let mut right = b.clone();
+        right.merge(&named);
+        assert_eq!(left.entries()[0].file, "X.java");
+        assert_eq!(right.entries()[0].file, "X.java");
     }
 
     #[test]

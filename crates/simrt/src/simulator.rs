@@ -324,8 +324,9 @@ impl World {
             tasks: Vec::new(),
             cfg,
         };
-        // One pinned system thread per core, with staggered first wakes,
-        // models device background activity (IRQ/kworker style).
+        // One system thread per core, with staggered first wakes, models
+        // device background activity (IRQ/kworker style). It is pinned by
+        // `CoreSlot::pulse_tid` and never enters a ready queue.
         for core in 0..world.cfg.cores {
             let tid = world.threads.len();
             let mut t = SimThread::new(
@@ -339,7 +340,6 @@ impl World {
                     burst_ns: world.cfg.system_burst_ns,
                 },
             );
-            t.affinity = Some(core);
             t.state = ThreadState::Blocked;
             world.threads.push(t);
             world.cores[core].pulse_tid = tid;
@@ -415,13 +415,6 @@ impl World {
         self.threads[tid].priority
     }
 
-    fn allowed(&self, tid: usize, core: usize) -> bool {
-        match self.threads[tid].affinity {
-            Some(c) => c == core,
-            None => true,
-        }
-    }
-
     fn make_ready(&mut self, tid: usize) {
         debug_assert!(!matches!(
             self.threads[tid].state,
@@ -480,27 +473,17 @@ impl World {
         }
     }
 
-    fn find_free_core(&self, tid: usize) -> Option<usize> {
-        // Pinned threads (the per-core system threads, woken millions of
-        // times per run) have exactly one candidate core.
-        match self.threads[tid].affinity {
-            Some(c) => self.cores[c].running.is_none().then_some(c),
-            None => (0..self.cores.len()).find(|&c| self.cores[c].running.is_none()),
-        }
+    fn find_free_core(&self) -> Option<usize> {
+        (0..self.cores.len()).find(|&c| self.cores[c].running.is_none())
     }
 
     fn find_victim_core(&self, tid: usize) -> Option<usize> {
         let p = self.prio(tid);
-        match self.threads[tid].affinity {
-            Some(c) => self.cores[c]
-                .running
-                .and_then(|v| (self.prio(v) < p).then_some(c)),
-            None => (0..self.cores.len())
-                .filter_map(|c| self.cores[c].running.map(|v| (c, self.prio(v))))
-                .filter(|&(_, vp)| vp < p)
-                .min_by_key(|&(_, vp)| vp)
-                .map(|(c, _)| c),
-        }
+        (0..self.cores.len())
+            .filter_map(|c| self.cores[c].running.map(|v| (c, self.prio(v))))
+            .filter(|&(_, vp)| vp < p)
+            .min_by_key(|&(_, vp)| vp)
+            .map(|(c, _)| c)
     }
 
     fn preempt(&mut self, core: usize) {
@@ -541,7 +524,7 @@ impl World {
             'prio: for p in (0..NUM_PRIOS).rev() {
                 for k in 0..self.ready[p].len() {
                     let tid = self.ready[p][k];
-                    if let Some(core) = self.find_free_core(tid) {
+                    if let Some(core) = self.find_free_core() {
                         self.ready[p].remove(k);
                         self.start_run(tid, core);
                         placed = true;
@@ -562,10 +545,11 @@ impl World {
         }
     }
 
-    /// Returns whether a ready thread with priority >= `p` could run on
-    /// `core` (used to decide if an expired slice forces a requeue).
-    fn contention_for(&self, core: usize, p: u8) -> bool {
-        (p as usize..NUM_PRIOS).any(|q| self.ready[q].iter().any(|&tid| self.allowed(tid, core)))
+    /// Returns whether a thread with priority >= `p` is ready (used to
+    /// decide if an expired slice forces a requeue). No ready thread is
+    /// pinned — pulses never queue — so any of them could take the core.
+    fn contention_for(&self, p: u8) -> bool {
+        (p as usize..NUM_PRIOS).any(|q| !self.ready[q].is_empty())
     }
 
     // ---- work-item execution --------------------------------------------
@@ -1003,7 +987,7 @@ impl World {
                 Some(Step::Cpu { ns, .. }) => *ns,
                 other => panic!("running thread front step is {other:?}"),
             };
-            if self.now >= slot.slice_end && self.contention_for(core, p) {
+            if self.now >= slot.slice_end && self.contention_for(p) {
                 self.off_cpu(tid, true);
                 self.threads[tid].state = ThreadState::Ready;
                 self.ready[p as usize].push_back(tid);

@@ -159,9 +159,6 @@ pub struct SimThread {
     pub exec: Option<ExecState>,
     /// Where the next item comes from.
     pub source: WorkSource,
-    /// If set, the thread may only run on this core (system threads are
-    /// pinned like IRQ/kworker threads on a phone).
-    pub affinity: Option<usize>,
 }
 
 impl SimThread {
@@ -184,7 +181,6 @@ impl SimThread {
             last_core: None,
             exec: None,
             source,
-            affinity: None,
         }
     }
 

@@ -6,14 +6,15 @@
 //! query/export answer: the top-N groups ranked by occurrence
 //! percentage, fleet-wide.
 //!
-//! [`TelemetryReport::build`] projects any set of per-app merged
-//! reports — the networked
-//! [`AggregationStore`](crate::store::AggregationStore)'s, or an
-//! in-process fleet merge's, which is how the loopback differential in
-//! `hd-bench` holds the two byte-identical. Both reduce to
-//! [`HangBugReport::entries`] on per-app semilattice joins, and the
-//! join is order-independent, so upload order, shard assignment, and
-//! duplicate deliveries cannot change a byte of the output.
+//! [`TelemetryReport::build`] projects per-app merged reports, such as
+//! an in-process fleet merge's; the networked
+//! [`AggregationStore`](crate::store::AggregationStore) ranks the same
+//! rows joined straight from its shard partitions
+//! ([`HangBugReport::joined_entries`]). Both rank through one function,
+//! which is how the loopback differential in `hd-bench` holds the two
+//! byte-identical, and the join is order-independent, so upload order,
+//! shard assignment, and duplicate deliveries cannot change a byte of
+//! the output.
 
 use hangdoctor::{HangBugReport, ReportEntry, RootKind};
 use serde::{Deserialize, Serialize};
@@ -93,16 +94,27 @@ impl TelemetryReport {
     where
         I: IntoIterator<Item = (&'a str, &'a HangBugReport)>,
     {
+        TelemetryReport::rank(
+            per_app.into_iter().map(|(app, r)| (app, r.entries())),
+            devices,
+            top_n,
+        )
+    }
+
+    /// Ranks each app's report rows fleet-wide and keeps the top N —
+    /// the one projection behind [`build`](TelemetryReport::build) and
+    /// the store's query fold. Each app comes at most once, in any
+    /// order.
+    pub(crate) fn rank<'a>(
+        per_app: impl IntoIterator<Item = (&'a str, Vec<ReportEntry>)>,
+        devices: usize,
+        top_n: usize,
+    ) -> TelemetryReport {
         let mut apps = 0usize;
         let mut groups: Vec<HangGroup> = Vec::new();
-        for (app, report) in per_app {
+        for (app, rows) in per_app {
             apps += 1;
-            groups.extend(
-                report
-                    .entries()
-                    .into_iter()
-                    .map(|e| HangGroup::from_entry(app, e)),
-            );
+            groups.extend(rows.into_iter().map(|e| HangGroup::from_entry(app, e)));
         }
         // Fleet-wide ranking: occurrence percentage first (the paper's
         // Figure 2(b) order), then a total tiebreak so the ranking is

@@ -54,11 +54,16 @@
 //!   Responses flush in request order per connection, which is what
 //!   lets clients pipeline.
 //! * **Sharded state.** Each shard worker owns an
-//!   [`AggregationStore`] partition. A query merges each partition's
-//!   reports straight into its answer under that shard's lock
-//!   ([`AggregationStore::fold_report`]); `Export` folds the partitions'
-//!   snapshots through the CRDT merge ([`AggregationStore::absorb`]) —
-//!   the same fold the cluster coordinator runs across nodes.
+//!   [`AggregationStore`] partition. A query takes every shard's lock
+//!   in index order and ranks root causes straight from the partitions
+//!   ([`AggregationStore::fold_report`]): per app, it joins only the
+//!   evidence, executions and names the report rows read, and copies no
+//!   report. A root cause's action may have executions in a shard whose
+//!   devices never hung on it, so the fold needs every partition at
+//!   once; holding all the locks also makes the answer one consistent
+//!   cut. `Export` folds the partitions' snapshots through the CRDT
+//!   merge ([`AggregationStore::absorb`]) — the same fold the cluster
+//!   coordinator runs across nodes.
 //! * **Durability.** With a WAL directory configured, every batch is
 //!   appended to the shard's log *before* it merges, so
 //!   kill-and-restart replays to the identical aggregate
@@ -330,6 +335,12 @@ impl Inbox {
 struct Shared {
     /// The bound listener address.
     addr: SocketAddr,
+    /// One partition per shard. Lock order: a `Query` takes every store
+    /// lock, in index order, and holds them all while it folds; every
+    /// other holder (a shard worker applying a batch, compaction,
+    /// `stats`, `Export`) holds one store lock at a time and takes no
+    /// other lock under it. So no two threads can each wait for a lock
+    /// the other holds.
     stores: Vec<Mutex<AggregationStore>>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
@@ -358,11 +369,17 @@ impl Shared {
         folded
     }
 
-    /// The top-N report over every shard partition, merged under each
-    /// shard's lock in turn with no snapshot taken.
+    /// The top-N report over every shard partition, read in place under
+    /// every shard's lock at once (taken in index order, the lock order
+    /// above), so the answer is one consistent cut across the shards.
     fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
-        let parts = self.stores.iter().map(|s| s.lock().expect("store lock"));
-        AggregationStore::fold_report(parts, top_n)
+        let guards: Vec<_> = self
+            .stores
+            .iter()
+            .map(|s| s.lock().expect("store lock"))
+            .collect();
+        let parts: Vec<&AggregationStore> = guards.iter().map(|g| &**g).collect();
+        AggregationStore::fold_report(&parts, top_n)
     }
 
     /// Sets the stop flags and wakes every thread that waits to see

@@ -22,7 +22,7 @@
 //! `Export`/`State` wire exchange a cluster coordinator folds.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::ops::Deref;
+use std::iter::Peekable;
 
 use hangdoctor::HangBugReport;
 use serde::{Deserialize, Serialize};
@@ -155,11 +155,7 @@ impl AggregationStore {
 
     /// The top-N ranked cross-device report over everything ingested.
     pub fn report(&self, top_n: usize) -> TelemetryReport {
-        TelemetryReport::build(
-            self.apps.iter().map(|(app, r)| (app.as_str(), r)),
-            self.devices.len(),
-            top_n,
-        )
+        AggregationStore::fold_report(&[self], top_n)
     }
 
     /// Serializes the full store state canonically.
@@ -190,36 +186,33 @@ impl AggregationStore {
     }
 
     /// The top-N report over several partitions of one store (a node's
-    /// shard stores), folded without snapshots. Each partition's per-app
-    /// reports and devices merge straight into the answer while the
-    /// caller still holds that partition — a shard lock guard is held
-    /// only for its own merge — and the fingerprint sets and counters,
-    /// which a report never reads, are not copied at all. Byte-identical
+    /// shard stores), read in place: each app's reports across the
+    /// parts are ranked through [`HangBugReport::joined_entries`], and
+    /// distinct `(app, device)` pairs are counted by walking the parts'
+    /// sorted sets together. Nothing is merged or copied, fingerprint
+    /// sets and counters are not read, and the answer is byte-identical
     /// to [`absorb`]-folding the partitions' snapshots, then reporting.
     ///
     /// [`absorb`]: AggregationStore::absorb
-    pub fn fold_report<P>(parts: impl IntoIterator<Item = P>, top_n: usize) -> TelemetryReport
-    where
-        P: Deref<Target = AggregationStore>,
-    {
-        let mut apps: BTreeMap<String, HangBugReport> = BTreeMap::new();
-        let mut devices: BTreeSet<(String, u32)> = BTreeSet::new();
-        for part in parts {
-            for (app, report) in &part.apps {
-                match apps.get_mut(app) {
-                    Some(merged) => merged.merge(report),
-                    None => {
-                        apps.insert(app.clone(), report.clone());
-                    }
-                }
+    pub fn fold_report(parts: &[&AggregationStore], top_n: usize) -> TelemetryReport {
+        let mut per_app = Vec::new();
+        walk_union(parts.iter().map(|p| p.apps.iter()), |app, reports| {
+            per_app.push((app.as_str(), HangBugReport::joined_entries(reports)));
+        });
+        // A lone set is its own union; walking its thousand-odd pairs
+        // would double the cost of a single store's report.
+        let devices = match parts {
+            [one] => one.devices.len(),
+            _ => {
+                let mut devices = 0;
+                let sets = parts
+                    .iter()
+                    .map(|p| p.devices.iter().map(|pair| (pair, ())));
+                walk_union(sets, |_, _| devices += 1);
+                devices
             }
-            devices.extend(part.devices.iter().cloned());
-        }
-        TelemetryReport::build(
-            apps.iter().map(|(app, r)| (app.as_str(), r)),
-            devices.len(),
-            top_n,
-        )
+        };
+        TelemetryReport::rank(per_app, devices, top_n)
     }
 
     /// CRDT merge: folds another store's state (typically a different
@@ -237,6 +230,25 @@ impl AggregationStore {
         self.devices.extend(snap.devices.iter().cloned());
         self.seen.extend(snap.seen.iter().copied());
         self.stats.merge(&snap.stats);
+    }
+}
+
+/// Walks the union of key-sorted sequences with no key twice in one
+/// sequence, handing `visit` each distinct key, in order, with the
+/// values every sequence holding it pairs it with.
+fn walk_union<'a, K: Ord + 'a, V, I: Iterator<Item = (&'a K, V)>>(
+    seqs: impl Iterator<Item = I>,
+    mut visit: impl FnMut(&'a K, &[V]),
+) {
+    let mut seqs: Vec<Peekable<I>> = seqs.map(Iterator::peekable).collect();
+    let mut group = Vec::with_capacity(seqs.len());
+    while let Some(key) = seqs.iter_mut().filter_map(|s| s.peek().map(|e| e.0)).min() {
+        group.clear();
+        group.extend(
+            seqs.iter_mut()
+                .filter_map(|s| s.next_if(|e| e.0 == key).map(|e| e.1)),
+        );
+        visit(key, &group);
     }
 }
 
@@ -381,11 +393,10 @@ mod tests {
         let want = single.report(10).to_json();
         assert_eq!(fold_lr.report(10).to_json(), want);
         assert_eq!(fold_rl.report(10).to_json(), want);
-        // The snapshot-free fold, in either order.
-        let fold_report =
-            |parts: [&AggregationStore; 2]| AggregationStore::fold_report(parts, 10).to_json();
-        assert_eq!(fold_report([&left, &right]), want);
-        assert_eq!(fold_report([&right, &left]), want);
+        // The in-place fold, in either order.
+        let fold_report = |parts: &[&AggregationStore]| AggregationStore::fold_report(parts, 10);
+        assert_eq!(fold_report(&[&left, &right]).to_json(), want);
+        assert_eq!(fold_report(&[&right, &left]).to_json(), want);
         // Idempotent: absorbing a partition twice changes nothing.
         fold_lr.absorb(&left.snapshot());
         assert_eq!(fold_lr.report(10).to_json(), want);

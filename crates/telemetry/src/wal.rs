@@ -22,8 +22,9 @@
 //! Failure semantics (pinned by `tests/wal.rs`):
 //!
 //! * a **torn tail** — the process died mid-append — is dropped
-//!   cleanly on replay and the file is truncated back to its last
-//!   complete record;
+//!   cleanly on replay, and opening the log for append ([`Wal::open`],
+//!   which recovery does) truncates the file back to its last complete
+//!   record; [`read_snapshot`] and [`scan_wal`] only read;
 //! * a **CRC-corrupt** record inside the valid region is data loss the
 //!   log cannot self-heal, and surfaces as a typed
 //!   [`TelemetryError::WalCorrupt`], never a panic;
@@ -376,27 +377,32 @@ pub fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.snap"))
 }
 
-/// Recovers one shard's store from its snapshot (if any) plus WAL
-/// replay, and returns the open log ready for appends along with the
-/// number of records replayed from it (snapshot-covered state is
-/// restored, not replayed). The recovery invariant — snapshot + WAL ≡
-/// pure WAL, byte-for-byte — holds because the snapshot carries the
-/// fingerprint set, so replayed records the snapshot already covers
-/// are absorbed as duplicates.
+/// Rebuilds one shard's store from what its files hold: the compaction
+/// snapshot, if any, then every logged batch in append order, under the
+/// fingerprint the live ingest applied it with. The recovery invariant
+/// — snapshot + WAL ≡ pure WAL, byte-for-byte — holds because the
+/// snapshot carries the fingerprint set, so replayed records the
+/// snapshot already covers are absorbed as duplicates.
+pub fn restore(snapshot: Option<&StoreSnapshot>, records: &[WalBatch]) -> AggregationStore {
+    let mut store = snapshot.map_or_else(AggregationStore::new, AggregationStore::from_snapshot);
+    for rec in records {
+        store.ingest_prehashed(&rec.batch, rec.fingerprint);
+    }
+    store
+}
+
+/// Recovers one shard's store ([`restore`] over its snapshot and WAL),
+/// and returns the open log ready for appends along with the number of
+/// records replayed from it (snapshot-covered state is restored, not
+/// replayed).
 pub fn recover_shard(
     dir: &Path,
     node: u64,
     shard: usize,
 ) -> Result<(AggregationStore, Wal, u64), TelemetryError> {
     let snap = read_snapshot(&snapshot_path(dir, shard))?;
-    let mut store = match &snap {
-        Some(s) => AggregationStore::from_snapshot(s),
-        None => AggregationStore::new(),
-    };
     let (wal, replay) = Wal::open(&wal_path(dir, shard), node, shard)?;
-    for rec in &replay.batches {
-        store.ingest_prehashed(&rec.batch, rec.fingerprint);
-    }
+    let store = restore(snap.as_ref(), &replay.batches);
     Ok((store, wal, replay.batches.len() as u64))
 }
 
