@@ -145,8 +145,9 @@ mod tests {
         let pf = &f.splits[2];
         assert!(pf.bugs_above > 0.4, "pf bugs above {:.2}", pf.bugs_above);
         assert!(pf.ui_above < 0.3, "pf ui above {:.2}", pf.ui_above);
-        // The combined filter: high recall, most FPs pruned.
-        assert!(f.filter_recall > 0.9, "recall {:.2}", f.filter_recall);
+        // The combined filter: high recall, most FPs pruned. 0.95 bounds
+        // the recall `repro --seed N all` reads on every seed N = 1..20.
+        assert!(f.filter_recall >= 0.95, "recall {:.2}", f.filter_recall);
         assert!(f.fp_pruned > 0.4, "pruned {:.2}", f.fp_pruned);
         assert!(f.accuracy > 0.7, "accuracy {:.2}", f.accuracy);
     }

@@ -24,8 +24,12 @@ use hd_fleet::{run_fleet, DeviceProfile, FleetSpec};
 /// the fleet goldens. v2: the second hot-loop campaign's batched accrual
 /// kernel (one fanned parent draw per accrue) and the system-pulse fast
 /// path (one fanned parent draw per pulse cycle) replaced the v1
-/// per-event draw chain.
-const FIXTURE_SCHEMA: &str = "hang-doctor/fleet-golden/v2";
+/// per-event draw chain. v3: each core's kworker pulse train draws its
+/// cycles from its own SplitMix64 stream, seeded once when the simulator
+/// is built, instead of from the world stream app work draws from; app
+/// draws no longer depend on how many pulses fired before them, and idle
+/// gaps advance each core in an integer loop.
+const FIXTURE_SCHEMA: &str = "hang-doctor/fleet-golden/v3";
 
 /// Prefixes the payload with the one-line schema header.
 fn tagged(payload: String) -> String {

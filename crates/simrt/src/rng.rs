@@ -1,9 +1,11 @@
 //! Seeded randomness for the simulation.
 //!
-//! Every stochastic decision in the simulator flows through [`SimRng`], a
-//! thin wrapper over [`rand::rngs::StdRng`] that adds the handful of
-//! distributions the runtime model needs (jitter factors, approximate
-//! normals). Seeding the simulator therefore fixes the entire run.
+//! Every app-side stochastic decision in the simulator flows through
+//! [`SimRng`], a thin wrapper over [`rand::rngs::StdRng`] that adds the
+//! handful of distributions the runtime model needs (jitter factors,
+//! approximate normals). The per-core kworker pulse trains draw from
+//! SplitMix64 streams seeded once from it, so seeding the simulator
+//! still fixes the entire run.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -92,6 +94,54 @@ impl SimRng {
     }
 }
 
+/// SplitMix64's state increment (the golden-ratio gamma).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: a bijective mix of one state word.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A SplitMix64 stream: a counter stepped by [`GAMMA`] and whitened by
+/// [`mix`]. Each kworker pulse train owns one, seeded once from the
+/// world's [`SimRng`], so pulses never draw from the stream app work
+/// draws from. Because the state is a plain counter, the stream steps
+/// back as cheaply as forward ([`Self::last`], [`Self::unwind`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// Creates a stream from a seed.
+    pub(crate) fn new(seed: u64) -> SplitMix64 {
+        SplitMix64 { state: seed }
+    }
+
+    /// Returns the next draw.
+    #[inline]
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
+    }
+
+    /// Returns the most recent draw again, without moving the stream.
+    #[inline]
+    pub(crate) fn last(&self) -> u64 {
+        mix(self.state)
+    }
+
+    /// Steps the stream back by one draw: the draw [`Self::last`] returned
+    /// comes out of [`Self::next_u64`] again.
+    #[inline]
+    pub(crate) fn unwind(&mut self) {
+        self.state = self.state.wrapping_sub(GAMMA);
+    }
+}
+
 /// Fans one 64-bit draw out into many small independent decisions.
 ///
 /// The accrual kernel used to draw one full RNG value per derived PMU
@@ -104,18 +154,9 @@ impl SimRng {
 /// never depends on the event mix.
 #[derive(Debug)]
 pub struct JitterFan {
-    state: u64,
+    stream: SplitMix64,
     bits: u64,
     left: u32,
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl JitterFan {
@@ -123,7 +164,7 @@ impl JitterFan {
     #[inline]
     pub fn new(seed: u64) -> JitterFan {
         JitterFan {
-            state: seed,
+            stream: SplitMix64::new(seed),
             bits: 0,
             left: 0,
         }
@@ -131,7 +172,7 @@ impl JitterFan {
 
     #[inline]
     fn refill(&mut self) {
-        self.bits = splitmix64(&mut self.state);
+        self.bits = self.stream.next_u64();
         self.left = 64;
     }
 
@@ -157,26 +198,6 @@ impl JitterFan {
         self.bits >>= 16;
         self.left -= 16;
         v
-    }
-
-    /// Returns the next 32 bits of the expansion.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        if self.left < 32 {
-            self.refill();
-        }
-        let v = self.bits as u32;
-        self.bits >>= 32;
-        self.left -= 32;
-        v
-    }
-
-    /// Returns a multiplicative jitter factor in `[1 - j, 1 + j)` from
-    /// the next 32 bits (the fan analog of [`SimRng::jitter`]).
-    #[inline]
-    pub fn jitter(&mut self, j: f64) -> f64 {
-        let j = j.clamp(0.0, 0.95);
-        1.0 - j + 2.0 * j * (self.next_u32() as f64 / 4_294_967_296.0)
     }
 }
 
@@ -263,6 +284,17 @@ mod tests {
         }
         assert!(hist.iter().all(|&h| h > 0), "empty bucket");
         assert!(hist.iter().all(|&h| h < 64), "overfull bucket");
+    }
+
+    #[test]
+    fn split_mix_steps_back_exactly() {
+        let mut rng = SplitMix64::new(0xDEAD_BEEF);
+        let draws: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
+        for &draw in draws.iter().rev() {
+            assert_eq!(rng.last(), draw);
+            rng.unwind();
+        }
+        assert_eq!(rng, SplitMix64::new(0xDEAD_BEEF));
     }
 
     #[test]

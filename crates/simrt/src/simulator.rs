@@ -18,7 +18,7 @@ use crate::looper::{
 };
 use crate::name::{NameId, NameTable};
 use crate::probe::{MonitorCost, Probe};
-use crate::rng::{JitterFan, SimRng};
+use crate::rng::{SimRng, SplitMix64};
 use crate::thread::{
     ExecState, SimThread, ThreadId, ThreadKind, ThreadState, WorkItem, WorkSource,
 };
@@ -99,8 +99,17 @@ enum Ev {
 }
 
 impl Ev {
+    /// The core of a pulse event and whether its burst is running.
+    fn as_pulse(&self) -> Option<(usize, bool)> {
+        match *self {
+            Ev::PulseWake { core } => Some((core, false)),
+            Ev::PulseEnd { core } => Some((core, true)),
+            _ => None,
+        }
+    }
+
     fn is_pulse(&self) -> bool {
-        matches!(self, Ev::PulseWake { .. } | Ev::PulseEnd { .. })
+        self.as_pulse().is_some()
     }
 }
 
@@ -137,10 +146,48 @@ struct CoreSlot {
     /// The system thread pinned to this core. While it runs, its burst's
     /// clocks are already booked, so incremental accrual skips the core.
     pulse_tid: usize,
-    /// Next wake period of the pulse pinned to this core, drawn at wake
-    /// together with the burst length so one parent draw funds the whole
-    /// pulse cycle.
+    /// The pulse train's own stream, seeded once in `World::new`: one
+    /// draw per cycle, never from the world's stream.
+    pulse_rng: SplitMix64,
+    /// Period from the current burst's end to the next wake, drawn at
+    /// wake together with the burst length.
     pulse_period: u64,
+}
+
+/// The law of a kworker pulse cycle: the burst is uniform in
+/// `[burst/2, 3·burst/2)` and the period from its end to the next wake
+/// uniform in `period·[0.55, 1.45)`.
+#[derive(Clone, Copy, Debug)]
+struct PulseLaw {
+    burst_lo: u64,
+    burst_span: u64,
+    period_lo: u64,
+    period_span: u64,
+}
+
+impl PulseLaw {
+    fn new(period_ns: u64, burst_ns: u64) -> PulseLaw {
+        let pct = |ns: u64, p: u64| (u128::from(ns) * u128::from(p) / 100) as u64;
+        PulseLaw {
+            burst_lo: burst_ns / 2,
+            burst_span: burst_ns,
+            period_lo: pct(period_ns, 55),
+            period_span: pct(period_ns, 90),
+        }
+    }
+
+    /// Turns one 64-bit draw into `(burst, period)`, each at least 1 ns,
+    /// by integer multiply-shift: the low half picks the burst, the high
+    /// half the period. The heap path and the idle loop both call it,
+    /// once per cycle.
+    #[inline]
+    fn cycle(&self, draw: u64) -> (u64, u64) {
+        let scale = |bits: u64, span: u64| ((u128::from(bits) * u128::from(span)) >> 32) as u64;
+        (
+            (self.burst_lo + scale(draw & 0xFFFF_FFFF, self.burst_span)).max(1),
+            (self.period_lo + scale(draw >> 32, self.period_span)).max(1),
+        )
+    }
 }
 
 #[derive(Debug)]
@@ -229,6 +276,7 @@ pub(crate) struct World {
     threads: Vec<SimThread>,
     ready: [VecDeque<usize>; NUM_PRIOS],
     cores: Vec<CoreSlot>,
+    pulse_law: PulseLaw,
     main_q: VecDeque<Message>,
     render_q: VecDeque<u64>,
     worker_q: VecDeque<Vec<Step>>,
@@ -301,6 +349,7 @@ impl World {
             threads,
             ready: Default::default(),
             cores: vec![CoreSlot::default(); cfg.cores],
+            pulse_law: PulseLaw::new(cfg.system_period_ns, cfg.system_burst_ns),
             main_q: VecDeque::new(),
             render_q: VecDeque::new(),
             worker_q: VecDeque::new(),
@@ -334,17 +383,19 @@ impl World {
                 format!("kworker/{core}"),
                 ThreadKind::System,
                 PRIO_SYSTEM,
-                WorkSource::Pulse {
-                    period_ns: world.cfg.system_period_ns,
-                    jitter: 0.45,
-                    burst_ns: world.cfg.system_burst_ns,
-                },
+                WorkSource::Pulse,
             );
             t.state = ThreadState::Blocked;
             world.threads.push(t);
             world.cores[core].pulse_tid = tid;
             let offset = world.rng.uniform_u64(0, world.cfg.system_period_ns.max(1));
             world.push_ev(SimTime(offset), Ev::PulseWake { core });
+        }
+        // Then each train gets its own stream. These are the last pulse
+        // draws on the world's stream: no app draw moves a pulse, and no
+        // pulse moves an app draw.
+        for core in 0..world.cfg.cores {
+            world.cores[core].pulse_rng = SplitMix64::new(world.rng.next_u64());
         }
         world
     }
@@ -714,7 +765,7 @@ impl World {
             WorkSource::RenderQueue => Src::Render,
             WorkSource::WorkerQueue => Src::Worker,
             WorkSource::ExecutorQueue { executor } => Src::Executor(*executor),
-            WorkSource::Pulse { .. } => {
+            WorkSource::Pulse => {
                 unreachable!("pulse threads run on the pulse path, not from a queue")
             }
         };
@@ -1011,33 +1062,22 @@ impl World {
     /// event that ends it. A pulse thread is pinned at the highest
     /// priority, its burst (~350 µs) is shorter than a slice (10 ms), and
     /// there is one per core, so nothing can preempt it: the whole burst
-    /// is decided here. One parent draw (`entropy`, taken by the caller
-    /// before it evicts anything) funds the burst length and the next
-    /// wake period. The burst books only kernel events — task-clock and
-    /// cpu-clock now, the context switch at its end — since no probe
-    /// reads a system thread's PMU events. The core must be free.
-    fn pulse_wake(&mut self, core: usize, entropy: u64) -> (SimTime, Ev) {
-        let tid = self.cores[core].pulse_tid;
-        let WorkSource::Pulse {
-            period_ns,
-            jitter,
-            burst_ns,
-        } = self.threads[tid].source
-        else {
-            unreachable!("the thread pinned to core {core} is not a pulse");
-        };
-        let mut fan = JitterFan::new(entropy);
-        let ns = (((burst_ns as f64) * fan.jitter(0.5)) as u64).max(1);
-        let period = (((period_ns as f64) * fan.jitter(jitter)) as u64).max(1);
-        let th = &mut self.threads[tid];
-        th.state = ThreadState::Running { core };
-        th.counters.add(HwEvent::TaskClock, ns as f64);
-        th.counters.add(HwEvent::CpuClock, ns as f64);
+    /// is decided here. One draw from the core's own stream funds the
+    /// burst length and the next wake period. The burst books only kernel
+    /// events — task-clock and cpu-clock now, the context switch at its
+    /// end — since no probe reads a system thread's PMU events. The core
+    /// must be free.
+    fn pulse_wake(&mut self, core: usize) -> (SimTime, Ev) {
         let slot = &mut self.cores[core];
-        slot.running = Some(tid);
+        let (burst, period) = self.pulse_law.cycle(slot.pulse_rng.next_u64());
+        slot.running = Some(slot.pulse_tid);
         slot.gen += 1;
         slot.pulse_period = period;
-        (self.now + ns, Ev::PulseEnd { core })
+        let th = &mut self.threads[slot.pulse_tid];
+        th.state = ThreadState::Running { core };
+        th.counters.add(HwEvent::TaskClock, burst as f64);
+        th.counters.add(HwEvent::CpuClock, burst as f64);
+        (self.now + burst, Ev::PulseEnd { core })
     }
 
     /// Ends the burst on `core`: frees the core, counts the pulse's
@@ -1055,57 +1095,127 @@ impl World {
         (self.now + period, Ev::PulseWake { core })
     }
 
-    /// Advances an idle gap in place. With no app event on the heap and
-    /// nothing ready, only pulses can fire before the next staged arrival:
-    /// a running app thread always has a live `Core` event, a thread
+    /// Advances an idle gap. With no app event on the heap and nothing
+    /// ready, only pulses can fire before the next staged arrival: a
+    /// running app thread always has a live `Core` event, a thread
     /// blocked on a timed step a `Wake`, a probe timer a `ProbeTimer`
-    /// (and a stale `Core` keeps the gap closed until it is popped). So
-    /// the per-core pulse cycles advance here, in `(at, seq)` order, with
-    /// the same draws, sequence numbers and core generations the heap
-    /// path would use, up to the next arrival or the horizon. The pulse
-    /// entries then go back on the heap, where the run loop takes the
+    /// (and a stale `Core` keeps the gap closed until it is popped). A
+    /// pulse train draws from its own stream and touches only its own
+    /// core, so each core advances alone, in a tight loop over the same
+    /// cycle law as the heap path, up to the next arrival or the horizon.
+    /// The loop keeps no heap and no stamps; the kworker's clocks and
+    /// context switches are summed as integers and booked once (exact:
+    /// integer-valued f64 sums below 2^53), and the core's generation
+    /// advances by its number of transitions. The entries then go back
+    /// on the heap, re-stamped in the order the heap path would have
+    /// stamped them (see `rewind`), where the run loop takes the
     /// arrival, or truncates at the horizon, exactly as before.
     fn idle_gap(&mut self) {
-        // `(at, seq)` packed into one integer: finding the earliest pulse
-        // costs one compare per core.
-        let key = |at: SimTime, seq: u64| (u128::from(at.as_ns()) << 64) | u128::from(seq);
-        let horizon = key(SimTime(self.cfg.max_sim_ns), u64::MAX);
-        let last = match self.arrivals.front() {
-            Some(&(at, seq, _)) => key(at, seq).min(horizon),
-            None => horizon,
+        let horizon = self.cfg.max_sim_ns;
+        let (end_at, end_seq) = match self.arrivals.front() {
+            Some(&(at, seq, _)) if at.as_ns() <= horizon => (at.as_ns(), seq),
+            _ => (horizon, u64::MAX),
         };
+        // An entry stamped during the run sorts after every staged
+        // arrival at its instant, so past a core's pending entry the gap
+        // ends at a plain time.
+        let end = if end_seq == u64::MAX {
+            horizon.saturating_add(1)
+        } else {
+            end_at
+        };
+        let law = self.pulse_law;
         let mut pulses = std::mem::take(&mut self.queue).into_vec();
-        loop {
-            let (mut i, mut first) = (0, u128::MAX);
-            for (k, e) in pulses.iter().enumerate() {
-                if key(e.at, e.seq) < first {
-                    (i, first) = (k, key(e.at, e.seq));
-                }
+        // `(entry index, events processed)` of each train that moved.
+        let mut moved = Vec::new();
+        for (i, entry) in pulses.iter_mut().enumerate() {
+            if (entry.at.as_ns(), entry.seq) >= (end_at, end_seq) {
+                continue;
             }
-            // Keys are unique, so `>=` is `>` here, and no pulses at all
-            // (a zero-core device) stops at once.
-            if first >= last {
-                break;
-            }
-            self.now = pulses[i].at;
-            let (at, next) = match pulses[i].ev {
-                Ev::PulseWake { core } => {
-                    let entropy = self.rng.next_u64();
-                    debug_assert!(self.cores[core].running.is_none(), "idle pulse preempts");
-                    self.pulse_wake(core, entropy)
-                }
-                Ev::PulseEnd { core } => {
-                    debug_assert!(
-                        self.ready.iter().all(VecDeque::is_empty),
-                        "idle burst end with a ready thread"
-                    );
-                    self.pulse_end(core)
-                }
-                ev => unreachable!("app event {ev:?} on the heap in an idle gap"),
+            let Some((core, mut in_burst)) = entry.ev.as_pulse() else {
+                unreachable!("app event {:?} on the heap in an idle gap", entry.ev);
             };
-            pulses[i] = self.stamp(at, next);
+            let slot = &mut self.cores[core];
+            debug_assert_eq!(slot.running.is_some(), in_burst, "core {core} out of step");
+            let (mut rng, mut period) = (slot.pulse_rng, slot.pulse_period);
+            let mut t = entry.at.as_ns();
+            let (mut steps, mut busy, mut switches) = (0, 0, 0);
+            // The pending entry is due; every later event is due before `end`.
+            let last = loop {
+                let due = t;
+                steps += 1;
+                if in_burst {
+                    switches += 1;
+                    t += period;
+                } else {
+                    let (burst, next) = law.cycle(rng.next_u64());
+                    busy += burst;
+                    period = next;
+                    t += burst;
+                }
+                in_burst = !in_burst;
+                if t >= end {
+                    break due;
+                }
+            };
+            slot.pulse_rng = rng;
+            slot.pulse_period = period;
+            slot.gen += steps;
+            slot.running = in_burst.then_some(slot.pulse_tid);
+            let th = &mut self.threads[slot.pulse_tid];
+            th.state = if in_burst {
+                ThreadState::Running { core }
+            } else {
+                ThreadState::Blocked
+            };
+            th.counters.add(HwEvent::TaskClock, busy as f64);
+            th.counters.add(HwEvent::CpuClock, busy as f64);
+            th.counters.add(HwEvent::ContextSwitches, switches as f64);
+            self.now = self.now.max(SimTime(last));
+            entry.at = SimTime(t);
+            entry.ev = if in_burst {
+                Ev::PulseEnd { core }
+            } else {
+                Ev::PulseWake { core }
+            };
+            moved.push((i, steps));
+        }
+        moved.sort_unstable_by(|&(a, a_steps), &(b, b_steps)| {
+            self.rewind(&pulses[a], a_steps)
+                .cmp(self.rewind(&pulses[b], b_steps))
+        });
+        for (i, _) in moved {
+            self.seq += 1;
+            pulses[i].seq = self.seq;
         }
         self.queue = BinaryHeap::from(pulses);
+    }
+
+    /// The `(at, seq)` keys of the `steps` events the pulse train behind
+    /// `entry` processed in this gap, newest first, recomputed backwards
+    /// from where it stopped. The oldest kept its pre-gap `seq` (still in
+    /// `entry.seq`); the others were stamped in the gap, which the heap
+    /// path does in the order it processes the events before them, so
+    /// they carry `u64::MAX`: compare the next key. Comparing two trains'
+    /// keys newest first therefore orders their survivors as the heap
+    /// path stamps them, ties included.
+    fn rewind(&self, entry: &QEntry, steps: u64) -> impl Iterator<Item = (u64, u64)> {
+        let (core, mut in_burst) = entry.ev.as_pulse().expect("a pulse entry");
+        let law = self.pulse_law;
+        let mut rng = self.cores[core].pulse_rng;
+        let (mut at, seq) = (entry.at.as_ns(), entry.seq);
+        (0..steps).rev().map(move |older| {
+            let (burst, period) = law.cycle(rng.last());
+            if in_burst {
+                // Back across the wake that made the most recent draw.
+                at -= burst;
+                rng.unwind();
+            } else {
+                at -= period;
+            }
+            in_burst = !in_burst;
+            (at, if older == 0 { seq } else { u64::MAX })
+        })
     }
 
     fn handle_arrive(&mut self, req: ArrivedRequest) {
@@ -1162,14 +1272,11 @@ impl World {
                 self.notices.push(Notice::Timer { probe, token });
             }
             Ev::PulseWake { core } => {
-                // The pulse's draw precedes the evicted thread's closing
-                // accrual draw.
-                let entropy = self.rng.next_u64();
                 let evict = self.cores[core].running.is_some();
                 if evict {
                     self.preempt(core);
                 }
-                let (at, next) = self.pulse_wake(core, entropy);
+                let (at, next) = self.pulse_wake(core);
                 self.push_ev(at, next);
                 if evict {
                     // The evicted thread may be able to migrate to a free core.
@@ -1969,6 +2076,133 @@ mod tests {
             assert!(bank.get(HwEvent::Instructions) > 0.0, "{tid:?}");
             assert!(bank.get(HwEvent::CacheMisses) > 0.0, "{tid:?}");
             assert!(bank.get(HwEvent::PageFaults) > 0.0, "{tid:?}");
+        }
+    }
+
+    /// Stages an empty action at `at`, as `schedule_action` would.
+    fn stage_arrival(world: &mut World, at: SimTime) -> (SimTime, u64) {
+        world.seq += 1;
+        let name = world.names.intern("gap");
+        let events = Vec::new();
+        let (uid, seq) = (ActionUid(0), world.seq);
+        world
+            .arrivals
+            .push_back((at, seq, ArrivedRequest { uid, name, events }));
+        (at, seq)
+    }
+
+    /// What the run loop does without `idle_gap`: pops and handles every
+    /// pulse before `end`.
+    fn heap_gap(world: &mut World, end: (SimTime, u64)) {
+        while let Some(top) = world.queue.peek() {
+            if (top.at, top.seq) >= end {
+                break;
+            }
+            let entry = world.queue.pop().expect("peeked");
+            world.now = entry.at;
+            world.handle(entry.ev);
+        }
+    }
+
+    /// Everything a gap can move: clock, core slots, kworker banks and
+    /// states, the world stream's next draw, and the heap in pop order
+    /// (sequence numbers differ between the paths; their order may not).
+    fn gap_state(world: &mut World) -> String {
+        let mut out = format!("{:?} {:?}", world.now, world.cores);
+        for core in 0..world.cores.len() {
+            let th = &world.threads[world.cores[core].pulse_tid];
+            let bank = &th.counters;
+            out += &format!(
+                " {:?} {} {} {}",
+                th.state,
+                bank.get(HwEvent::TaskClock),
+                bank.get(HwEvent::CpuClock),
+                bank.get(HwEvent::ContextSwitches)
+            );
+        }
+        out += &format!(" rng {}", world.rng.next_u64());
+        while let Some(e) = world.queue.pop() {
+            out += &format!(" {:?}@{}", e.ev, e.at.as_ns());
+        }
+        out
+    }
+
+    #[test]
+    fn idle_gap_matches_the_heap_path() {
+        let world = |cores, seed, tied: bool, horizon| {
+            let cfg = SimConfig {
+                cores,
+                seed,
+                max_sim_ns: horizon,
+                ..SimConfig::default()
+            };
+            let mut w = World::new(cfg, Arc::new(FrameTable::new()));
+            if tied {
+                // Every core on core 0's stream and first wake: each event
+                // ties on every core, and only the pre-run sequence numbers,
+                // reversed here against core order, order them.
+                let rng = w.cores[0].pulse_rng;
+                let mut entries = std::mem::take(&mut w.queue).into_vec();
+                let first = entries.iter().map(|e| e.at).min().expect("pulses");
+                for e in &mut entries {
+                    let core = e.ev.as_pulse().expect("pulse").0;
+                    e.at = first;
+                    e.seq = (cores - core) as u64;
+                    w.cores[core].pulse_rng = rng;
+                }
+                w.queue = BinaryHeap::from(entries);
+            }
+            w
+        };
+        for cores in [2, 4, 8] {
+            for seed in [1, 7] {
+                for tied in [false, true] {
+                    // Gap ends on the first wake (its pre-run seq sorts
+                    // before an arrival's), on later pulses (theirs sort
+                    // after), between pulses, and far out.
+                    let mut probe = world(cores, seed, tied, u64::MAX);
+                    let mut times = Vec::new();
+                    while times.len() < 2_000 {
+                        let entry = probe.queue.pop().expect("pulses");
+                        probe.now = entry.at;
+                        probe.handle(entry.ev);
+                        times.push(entry.at);
+                    }
+                    let ends = [
+                        times[0],
+                        times[1],
+                        times[cores + 3],
+                        times[777],
+                        times[777] + 1,
+                        times[1_999],
+                        SimTime::from_ms(60_000),
+                    ];
+                    for at in ends {
+                        let label = format!("{cores} cores, seed {seed}, tied {tied}, end {at:?}");
+                        let (mut heap, mut idle) = (
+                            world(cores, seed, tied, u64::MAX),
+                            world(cores, seed, tied, u64::MAX),
+                        );
+                        let end = stage_arrival(&mut heap, at);
+                        stage_arrival(&mut idle, at);
+                        heap_gap(&mut heap, end);
+                        idle.idle_gap();
+                        assert_eq!(gap_state(&mut heap), gap_state(&mut idle), "{label}");
+                        // The horizon ends a gap just past it.
+                        let (mut heap, mut idle) = (
+                            world(cores, seed, tied, at.as_ns()),
+                            world(cores, seed, tied, at.as_ns()),
+                        );
+                        heap_gap(&mut heap, (at, u64::MAX));
+                        idle.idle_gap();
+                        assert_eq!(
+                            gap_state(&mut heap),
+                            gap_state(&mut idle),
+                            "{label} (horizon)"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -79,16 +79,10 @@ pub enum WorkSource {
         /// Executor index in the simulator's executor table.
         executor: usize,
     },
-    /// Self-generates periodic bursts (system threads). A burst counts
-    /// kernel events only: task-clock, cpu-clock and context switches.
-    Pulse {
-        /// Nominal wake period.
-        period_ns: u64,
-        /// Multiplicative jitter applied to each period.
-        jitter: f64,
-        /// Nominal burst CPU time per wake.
-        burst_ns: u64,
-    },
+    /// Self-generates periodic bursts (system threads), drawn by the
+    /// simulator's per-core pulse train. A burst counts kernel events
+    /// only: task-clock, cpu-clock and context switches.
+    Pulse,
 }
 
 /// In-flight execution state of one work item.
@@ -224,11 +218,7 @@ mod tests {
             "kworker/3",
             ThreadKind::System,
             3,
-            WorkSource::Pulse {
-                period_ns: 1,
-                jitter: 0.0,
-                burst_ns: 1,
-            },
+            WorkSource::Pulse,
         );
         assert!(!t.is_app());
     }

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use hd_simrt::{
     ActionInfo, ActionRequest, ActionUid, FrameTable, HwEvent, MemProfile, MessageInfo, Probe,
-    ProbeCtx, SimConfig, SimTime, Simulator, Step, TimelineRecorder, MILLIS,
+    ProbeCtx, SimConfig, SimTime, Simulator, Step, ThreadId, TimelineRecorder, MILLIS,
 };
 
 fn table_with_frames() -> (FrameTable, hd_simrt::FrameId) {
@@ -306,52 +306,98 @@ fn preemption_rate_is_invariant_to_core_count() {
     assert!(cs2 > 20.0, "cs2 = {cs2}");
 }
 
-/// FNV-1a over the little-endian bytes of a word stream.
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
+/// The kworker threads: numbered after main, render and the app's
+/// workers, one per core, before any executor thread.
+fn kworkers(cfg: &SimConfig) -> Vec<ThreadId> {
+    (0..cfg.cores)
+        .map(|c| ThreadId(2 + cfg.workers + c))
+        .collect()
+}
+
+/// Reads the kernel counters of every kworker, checking that each bank
+/// is a kworker's: kernel events only.
+fn kworker_words(ctx: &mut ProbeCtx<'_>, kworkers: &[ThreadId]) -> Vec<u64> {
+    let mut words = Vec::new();
+    for &k in kworkers {
+        assert_eq!(ctx.counter(k, HwEvent::Instructions), 0.0, "{k:?}");
+        for event in [
+            HwEvent::TaskClock,
+            HwEvent::CpuClock,
+            HwEvent::ContextSwitches,
+        ] {
+            words.push(ctx.counter(k, event).to_bits());
         }
     }
-    h
+    words
+}
+
+/// Keeps a probe timer armed from the first action's begin through
+/// `until` (the last arrival), so the heap never holds pulses alone and
+/// the idle loop never runs: every gap takes the heap path. It touches
+/// no counter and no random stream.
+struct KeepAlive {
+    until: SimTime,
+    armed: bool,
+}
+
+impl KeepAlive {
+    fn arm(&self, ctx: &mut ProbeCtx<'_>) {
+        if ctx.now() < self.until {
+            ctx.set_timer((ctx.now() + 50 * MILLIS).min(self.until), 0);
+        }
+    }
+}
+
+impl Probe for KeepAlive {
+    fn on_action_begin(&mut self, ctx: &mut ProbeCtx<'_>, _info: &ActionInfo) {
+        if !self.armed {
+            self.armed = true;
+            self.arm(ctx);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut ProbeCtx<'_>, _token: u64) {
+        self.arm(ctx);
+    }
 }
 
 #[test]
 fn idle_gaps_keep_the_pulse_schedule() {
-    // Between actions only the per-core system pulses run. At each
-    // action's begin the probe pins where the gap left the clock, the
-    // shared random stream (one jitter draw: its value moves if the gap
-    // consumed a different number of pulse draws) and main's kernel
-    // counters; the digest also covers the run summary. The constants
-    // were captured from the heap-only scheduler, so a faster idle path
-    // must replay the gaps exactly.
-    struct GapProbe(Rc<RefCell<Vec<u64>>>);
+    // Between actions only the per-core system pulses run, and the idle
+    // loop advances them. Each case runs twice: as is, and with a
+    // `KeepAlive` probe that keeps the heap path on through every gap.
+    // At each action's begin the probe records where the gap left the
+    // clock, one draw of the world stream (it moves if a gap consumed a
+    // draw), main's kernel counters and every kworker's; after the run,
+    // main's whole bank, the kworkers' counters and the run summary. The
+    // two runs must agree on all of it.
+    struct GapProbe {
+        kworkers: Vec<ThreadId>,
+        words: Rc<RefCell<Vec<u64>>>,
+    }
     impl Probe for GapProbe {
         fn on_action_begin(&mut self, ctx: &mut ProbeCtx<'_>, _info: &ActionInfo) {
             let main = ctx.main_tid();
-            let words = [
+            let mut words = vec![
                 ctx.now().as_ns(),
                 ctx.jitter(0.5).to_bits(),
                 ctx.counter(main, HwEvent::ContextSwitches).to_bits(),
                 ctx.counter(main, HwEvent::TaskClock).to_bits(),
             ];
-            self.0.borrow_mut().extend(words);
+            words.extend(kworker_words(ctx, &self.kworkers));
+            self.words.borrow_mut().extend(words);
         }
     }
-    let run = |cores: usize| {
+    let run = |cores: usize, seed: u64, keep_alive: bool| {
         let mut t = FrameTable::new();
         let f = t.intern_new("edge.App.onClick", "App.java", 1);
         let g = t.intern_new("edge.Db.query", "Db.java", 2);
-        let mut sim = Simulator::new(
-            SimConfig {
-                cores,
-                seed: 7,
-                ..SimConfig::default()
-            },
-            t,
-        );
+        let cfg = SimConfig {
+            cores,
+            seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, t);
         let executor = sim.add_executor("SerialExecutor", 1) as u32;
         let task = |io_ms: u64| {
             vec![
@@ -361,7 +407,9 @@ fn idle_gaps_keep_the_pulse_schedule() {
                 Step::Pop,
             ]
         };
+        // The boot action at 0 arms `KeepAlive` before the first gap.
         let actions = [
+            (0, vec![Step::Push(f), cpu(1), Step::Pop]),
             (1_000, vec![Step::Push(f), cpu(40), Step::Pop]),
             (
                 2_500,
@@ -424,6 +472,10 @@ fn idle_gaps_keep_the_pulse_schedule() {
                 ],
             ),
         ];
+        let (n, last_arrival) = (
+            actions.len(),
+            SimTime::from_ms(actions[actions.len() - 1].0),
+        );
         for (i, (at_ms, steps)) in actions.into_iter().enumerate() {
             sim.schedule_action(
                 SimTime::from_ms(at_ms),
@@ -435,25 +487,148 @@ fn idle_gaps_keep_the_pulse_schedule() {
             );
         }
         let words = Rc::new(RefCell::new(Vec::new()));
-        sim.add_probe(Box::new(GapProbe(words.clone())));
+        sim.add_probe(Box::new(GapProbe {
+            kworkers: kworkers(&cfg),
+            words: words.clone(),
+        }));
+        if keep_alive {
+            sim.add_probe(Box::new(KeepAlive {
+                until: last_arrival,
+                armed: false,
+            }));
+        }
         let summary = sim.run();
         assert!(!summary.truncated);
-        assert_eq!(summary.actions_completed, 6);
+        assert_eq!(summary.actions_completed, n);
         let mut words = words.take();
-        assert_eq!(words.len(), 6 * 4, "one record per action begin");
-        words.extend([
-            summary.ended_at.as_ns(),
-            u64::from(summary.truncated),
-            summary.actions_completed as u64,
-        ]);
-        fnv1a(&words)
+        let per_begin = 4 + 3 * cores;
+        assert_eq!(words.len(), n * per_begin, "one record per action begin");
+        // No pulse fired before the boot action, so with `KeepAlive` the
+        // heap path ran every pulse.
+        assert!(words[4..per_begin].iter().all(|&w| w == 0));
+        let main = sim.main_tid();
+        words.extend(HwEvent::ALL.map(|e| sim.thread_counter(main, e).to_bits()));
+        for k in kworkers(&cfg) {
+            for e in [
+                HwEvent::TaskClock,
+                HwEvent::CpuClock,
+                HwEvent::ContextSwitches,
+            ] {
+                words.push(sim.thread_counter(k, e).to_bits());
+            }
+        }
+        (words, summary)
     };
-    for (cores, expected) in [
-        (2, 0x0a6c_9de5_e320_aea1),
-        (4, 0xa90e_0bc9_3729_d8b2),
-        (8, 0x2575_93c7_b3cd_c571),
-    ] {
-        let got = run(cores);
-        assert_eq!(got, expected, "{cores} cores: digest {got:#018x}");
+    for cores in [2, 4, 8] {
+        for seed in [7, 42] {
+            let (idle, heap) = (run(cores, seed, false), run(cores, seed, true));
+            assert_eq!(idle, heap, "{cores} cores, seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn pulse_train_is_a_function_of_seed_and_core() {
+    // Each kworker's pulse train draws from its own stream, so what the
+    // app does never moves it: under one seed, two different workloads
+    // read identical kworker counters at the same fixed instants.
+    struct Sampler {
+        kworkers: Vec<ThreadId>,
+        words: Rc<RefCell<Vec<Vec<u64>>>>,
+    }
+    impl Probe for Sampler {
+        fn on_action_begin(&mut self, ctx: &mut ProbeCtx<'_>, info: &ActionInfo) {
+            if info.uid == ActionUid(0) {
+                for i in 1..=40 {
+                    ctx.set_timer(SimTime::from_ms(i * 97), i);
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut ProbeCtx<'_>, token: u64) {
+            let mut words = vec![token, ctx.now().as_ns()];
+            words.extend(kworker_words(ctx, &self.kworkers));
+            self.words.borrow_mut().push(words);
+        }
+    }
+    let run = |cores: usize, seed: u64, workload: &[(u64, Vec<Step>)]| {
+        let mut t = FrameTable::new();
+        let f = t.intern_new("edge.App.onClick", "App.java", 1);
+        let cfg = SimConfig {
+            cores,
+            seed,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, t);
+        // The same boot action arms the sampling timers in both runs.
+        let boot = (0, vec![cpu(1)]);
+        for (i, (at_ms, steps)) in std::iter::once(&boot).chain(workload).enumerate() {
+            let mut events = vec![Step::Push(f)];
+            events.extend(steps.iter().cloned());
+            events.push(Step::Pop);
+            sim.schedule_action(
+                SimTime::from_ms(*at_ms),
+                ActionRequest {
+                    uid: ActionUid(i as u64),
+                    name: format!("work {i}"),
+                    events: vec![events],
+                },
+            );
+        }
+        let words = Rc::new(RefCell::new(Vec::new()));
+        sim.add_probe(Box::new(Sampler {
+            kworkers: kworkers(&cfg),
+            words: words.clone(),
+        }));
+        sim.run();
+        let words = words.take();
+        assert_eq!(words.len(), 40, "every timer fired");
+        words
+    };
+    let compute = [
+        (
+            120,
+            vec![Step::Cpu {
+                ns: 600 * MILLIS,
+                profile: MemProfile::compute(),
+            }],
+        ),
+        (1_500, vec![cpu(200), Step::Io { ns: 40 * MILLIS }, cpu(90)]),
+    ];
+    let interactive = [
+        (
+            300,
+            vec![
+                cpu(15),
+                Step::PostRender {
+                    frames: 30,
+                    frame_ns: 6 * MILLIS,
+                },
+            ],
+        ),
+        (
+            900,
+            vec![
+                Step::PostWorker(vec![cpu(250), Step::Io { ns: 80 * MILLIS }]),
+                cpu(40),
+            ],
+        ),
+        (
+            2_600,
+            vec![Step::Cpu {
+                ns: 300 * MILLIS,
+                profile: MemProfile::memory_heavy(),
+            }],
+        ),
+    ];
+    for cores in [2, 4] {
+        for seed in [3, 42] {
+            let (a, b) = (run(cores, seed, &compute), run(cores, seed, &interactive));
+            for (a, b) in a.iter().zip(&b) {
+                assert_eq!(
+                    a, b,
+                    "{cores} cores, seed {seed}: [timer, now, kworker clocks]"
+                );
+            }
+        }
     }
 }
