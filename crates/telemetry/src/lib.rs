@@ -24,8 +24,9 @@
 //!   keys), `(app, device)` shard routing, and the cluster routing
 //!   table generalization [`node_for`];
 //! * [`store`] — the idempotent [`AggregationStore`] built on the
-//!   report semilattice join, with canonical [`StoreSnapshot`]s and the
-//!   CRDT fold [`AggregationStore::absorb`];
+//!   report semilattice join, with canonical [`StoreSnapshot`]s, the
+//!   CRDT fold [`AggregationStore::absorb`], and the [`ReportView`] a
+//!   server keeps between queries;
 //! * [`wal`] — per-shard append-only write-ahead logs (CRC-framed
 //!   canonical JSON) plus compacted snapshots; kill-and-restart replays
 //!   to the identical aggregate;
@@ -79,7 +80,9 @@ pub use error::TelemetryError;
 pub use fingerprint::{batch_fingerprint, fnv1a, node_for, shard_for};
 pub use report::{HangGroup, TelemetryReport};
 pub use server::{ServerConfig, ServerStats, TelemetryServer, TelemetryServerBuilder};
-pub use store::{AggregationStore, IngestOutcome, IngestStats, StoreSnapshot, SNAPSHOT_SCHEMA};
+pub use store::{
+    AggregationStore, IngestOutcome, IngestStats, ReportView, StoreSnapshot, SNAPSHOT_SCHEMA,
+};
 pub use wal::{Wal, WalHeader, WalRecord, WalReplay, WAL_MAGIC, WAL_SCHEMA};
 pub use wire::{
     decode_frame, drain_frames, encode_frame, encode_frame_in, read_frame, write_frame, FrameError,

@@ -10,7 +10,8 @@
 //! an in-process fleet merge's; the networked
 //! [`AggregationStore`](crate::store::AggregationStore) ranks the same
 //! rows joined straight from its shard partitions
-//! ([`HangBugReport::joined_entries`]). Both rank through one function,
+//! ([`HangBugReport::joined_entries`]), kept per app between queries by
+//! a [`ReportView`](crate::store::ReportView). Both rank through one function,
 //! which is how the loopback differential in `hd-bench` holds the two
 //! byte-identical, and the join is order-independent, so upload order,
 //! shard assignment, and duplicate deliveries cannot change a byte of
@@ -50,13 +51,12 @@ pub struct HangGroup {
 }
 
 impl HangGroup {
-    fn from_entry(app: &str, e: ReportEntry) -> HangGroup {
-        let occurrence_pct = e.occurrence_pct();
+    fn from_entry(app: &str, e: &ReportEntry, occurrence_pct: f64) -> HangGroup {
         HangGroup {
             app: app.to_string(),
-            action: e.action,
-            symbol: e.symbol,
-            file: e.file,
+            action: e.action.clone(),
+            symbol: e.symbol.clone(),
+            file: e.file.clone(),
             line: e.line,
             kind: e.kind,
             devices: e.devices,
@@ -94,8 +94,12 @@ impl TelemetryReport {
     where
         I: IntoIterator<Item = (&'a str, &'a HangBugReport)>,
     {
+        let rows: Vec<(&str, Vec<ReportEntry>)> = per_app
+            .into_iter()
+            .map(|(app, r)| (app, r.entries()))
+            .collect();
         TelemetryReport::rank(
-            per_app.into_iter().map(|(app, r)| (app, r.entries())),
+            rows.iter().map(|(app, rows)| (*app, rows.as_slice())),
             devices,
             top_n,
         )
@@ -103,31 +107,35 @@ impl TelemetryReport {
 
     /// Ranks each app's report rows fleet-wide and keeps the top N —
     /// the one projection behind [`build`](TelemetryReport::build) and
-    /// the store's query fold. Each app comes at most once, in any
-    /// order.
+    /// the store's report view. Each app comes at most once, in any
+    /// order. Rows are ranked by reference; only the kept ones are
+    /// copied.
     pub(crate) fn rank<'a>(
-        per_app: impl IntoIterator<Item = (&'a str, Vec<ReportEntry>)>,
+        per_app: impl IntoIterator<Item = (&'a str, &'a [ReportEntry])>,
         devices: usize,
         top_n: usize,
     ) -> TelemetryReport {
         let mut apps = 0usize;
-        let mut groups: Vec<HangGroup> = Vec::new();
-        for (app, rows) in per_app {
+        let mut rows: Vec<(f64, &str, &ReportEntry)> = Vec::new();
+        for (app, entries) in per_app {
             apps += 1;
-            groups.extend(rows.into_iter().map(|e| HangGroup::from_entry(app, e)));
+            rows.extend(entries.iter().map(|e| (e.occurrence_pct(), app, e)));
         }
         // Fleet-wide ranking: occurrence percentage first (the paper's
         // Figure 2(b) order), then a total tiebreak so the ranking is
         // unambiguous for any input.
-        groups.sort_by(|a, b| {
-            b.occurrence_pct
-                .partial_cmp(&a.occurrence_pct)
+        rows.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.app.cmp(&b.app))
-                .then_with(|| a.action.cmp(&b.action))
-                .then_with(|| a.symbol.cmp(&b.symbol))
+                .then_with(|| a.1.cmp(b.1))
+                .then_with(|| a.2.action.cmp(&b.2.action))
+                .then_with(|| a.2.symbol.cmp(&b.2.symbol))
         });
-        groups.truncate(top_n);
+        let groups = rows
+            .iter()
+            .take(top_n)
+            .map(|&(pct, app, e)| HangGroup::from_entry(app, e, pct))
+            .collect();
         TelemetryReport {
             schema: SCHEMA.to_string(),
             top_n,

@@ -54,12 +54,13 @@
 //!   Responses flush in request order per connection, which is what
 //!   lets clients pipeline.
 //! * **Sharded state.** Each shard worker owns an
-//!   [`AggregationStore`] partition. A query takes every shard's lock
-//!   in index order and ranks root causes straight from the partitions
-//!   ([`AggregationStore::fold_report`]): per app, it joins only the
-//!   evidence, executions and names the report rows read, and copies no
-//!   report. A root cause's action may have executions in a shard whose
-//!   devices never hung on it, so the fold needs every partition at
+//!   [`AggregationStore`] partition. The server keeps one
+//!   [`ReportView`]: each app's report rows joined across the
+//!   partitions. A query takes every shard's lock in index order, then
+//!   the view's, drains the apps each partition changed since the last
+//!   query, re-joins only those straight from the partitions, and ranks
+//!   the kept rows. A root cause's action may have executions in a shard
+//!   whose devices never hung on it, so a join needs every partition at
 //!   once; holding all the locks also makes the answer one consistent
 //!   cut. `Export` folds the partitions' snapshots through the CRDT
 //!   merge ([`AggregationStore::absorb`]) — the same fold the cluster
@@ -79,7 +80,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -93,7 +94,7 @@ use hd_control::FleetController;
 
 use crate::error::TelemetryError;
 use crate::fingerprint::{batch_fingerprint, shard_for};
-use crate::store::{AggregationStore, IngestOutcome, IngestStats, StoreSnapshot};
+use crate::store::{AggregationStore, IngestOutcome, IngestStats, ReportView, StoreSnapshot};
 use crate::wal::{self, Wal};
 use crate::wire::{
     drain_frames_with, encode_frame_in, upload_fingerprint_from_payload, Request, Response,
@@ -220,6 +221,23 @@ impl TelemetryServerBuilder {
                 reason: "must be at least 1".to_string(),
             });
         }
+        if let Some(dir) = &self.cfg.wal_dir {
+            let orphans = wal::shard_files_beyond(Path::new(dir), self.cfg.shards)?;
+            if let Some((last, _)) = orphans.last() {
+                let names: Vec<&str> = orphans.iter().map(|(_, name)| name.as_str()).collect();
+                return Err(TelemetryError::Config {
+                    field: "shards",
+                    reason: format!(
+                        "{dir} holds {}, left by a server with more shards; with {} \
+                         shard(s) the ACKed batches in them would not be recovered \
+                         (start with at least {} shards)",
+                        names.join(", "),
+                        self.cfg.shards,
+                        last + 1
+                    ),
+                });
+            }
+        }
         TelemetryServer::launch(&self.addr, self.cfg)
     }
 }
@@ -335,13 +353,18 @@ impl Inbox {
 struct Shared {
     /// The bound listener address.
     addr: SocketAddr,
-    /// One partition per shard. Lock order: a `Query` takes every store
-    /// lock, in index order, and holds them all while it folds; every
+    /// One partition per shard. Lock order: stores, then `view`. A
+    /// `Query` takes every store lock, in index order, then the view's,
+    /// and holds them all while it re-joins the changed apps; every
     /// other holder (a shard worker applying a batch, compaction,
     /// `stats`, `Export`) holds one store lock at a time and takes no
     /// other lock under it. So no two threads can each wait for a lock
     /// the other holds.
     stores: Vec<Mutex<AggregationStore>>,
+    /// The Hang Bug Report as of the last `Query`. Only
+    /// [`Shared::report`] drains the stores' changed apps, so the view
+    /// has seen every change but those it re-joins next.
+    view: Mutex<ReportView>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
     killed: AtomicBool,
@@ -369,17 +392,23 @@ impl Shared {
         folded
     }
 
-    /// The top-N report over every shard partition, read in place under
-    /// every shard's lock at once (taken in index order, the lock order
-    /// above), so the answer is one consistent cut across the shards.
+    /// The top-N report over every shard partition. Under every shard's
+    /// lock at once and then the view's (the lock order above), the view
+    /// re-joins the apps the shards changed since the last query, so the
+    /// answer is one consistent cut across the shards. The stores are
+    /// released before the kept rows are ranked.
     fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
-        let guards: Vec<_> = self
+        let mut guards: Vec<_> = self
             .stores
             .iter()
             .map(|s| s.lock().expect("store lock"))
             .collect();
-        let parts: Vec<&AggregationStore> = guards.iter().map(|g| &**g).collect();
-        AggregationStore::fold_report(&parts, top_n)
+        let mut view = self.view.lock().expect("view lock");
+        let mut parts: Vec<&mut AggregationStore> = guards.iter_mut().map(|g| &mut **g).collect();
+        view.update(&mut parts);
+        drop(parts);
+        drop(guards);
+        view.report(top_n)
     }
 
     /// Sets the stop flags and wakes every thread that waits to see
@@ -512,6 +541,7 @@ impl TelemetryServer {
         let shared = Arc::new(Shared {
             addr: local,
             stores,
+            view: Mutex::new(ReportView::new()),
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),

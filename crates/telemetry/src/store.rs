@@ -20,11 +20,14 @@
 //! [`StoreSnapshot`] is the store's canonical serialized form — used
 //! both as the WAL compaction snapshot on disk and as the
 //! `Export`/`State` wire exchange a cluster coordinator folds.
+//!
+//! [`ReportView`] is the server's Hang Bug Report kept between queries:
+//! each app's report rows joined across the shard partitions, re-joined
+//! only for the apps a partition changed since the view last read it.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::iter::Peekable;
 
-use hangdoctor::HangBugReport;
+use hangdoctor::{HangBugReport, ReportEntry};
 use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::batch_fingerprint;
@@ -88,9 +91,15 @@ pub struct StoreSnapshot {
 #[derive(Clone, Debug, Default)]
 pub struct AggregationStore {
     apps: BTreeMap<String, HangBugReport>,
-    devices: BTreeSet<(String, u32)>,
+    /// Contributing devices per app; snapshots flatten them into sorted
+    /// `(app, device)` pairs.
+    devices: BTreeMap<String, BTreeSet<u32>>,
     seen: HashSet<u64>,
     stats: IngestStats,
+    /// Apps whose report or devices changed since the [`ReportView`]
+    /// reading this store last drained them. Not content: snapshots
+    /// leave it out.
+    changed: BTreeSet<String>,
 }
 
 impl AggregationStore {
@@ -122,9 +131,11 @@ impl AggregationStore {
                 duplicate: true,
             };
         }
-        self.devices.insert((batch.app.clone(), batch.device));
+        self.add_device(&batch.app, batch.device);
         for item in &batch.items {
             let report = item.report();
+            // An item may carry another app's report than the batch's.
+            self.mark(&report.app);
             self.apps
                 .entry(report.app.clone())
                 .or_insert_with(|| HangBugReport::new(&report.app))
@@ -138,9 +149,30 @@ impl AggregationStore {
         }
     }
 
+    /// Notes that `app` changed, for the report view.
+    fn mark(&mut self, app: &str) {
+        if !self.changed.contains(app) {
+            self.changed.insert(app.to_string());
+        }
+    }
+
+    /// Records that `device` contributed under `app`.
+    fn add_device(&mut self, app: &str, device: u32) {
+        self.mark(app);
+        match self.devices.get_mut(app) {
+            Some(devices) => {
+                devices.insert(device);
+            }
+            None => {
+                self.devices
+                    .insert(app.to_string(), BTreeSet::from([device]));
+            }
+        }
+    }
+
     /// Number of distinct `(app, device)` pairs that have contributed.
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.devices.values().map(BTreeSet::len).sum()
     }
 
     /// Number of apps with merged state.
@@ -169,50 +201,69 @@ impl AggregationStore {
                 .iter()
                 .map(|(app, r)| (app.clone(), r.clone()))
                 .collect(),
-            devices: self.devices.iter().cloned().collect(),
+            devices: self
+                .devices
+                .iter()
+                .flat_map(|(app, devices)| devices.iter().map(|d| (app.clone(), *d)))
+                .collect(),
             seen,
             stats: self.stats.clone(),
         }
     }
 
-    /// Rebuilds a store from a snapshot.
+    /// Rebuilds a store from a snapshot: the empty store absorbing it,
+    /// so every app counts as changed and a report view's first query
+    /// over the store is a full fold.
     pub fn from_snapshot(snap: &StoreSnapshot) -> AggregationStore {
-        AggregationStore {
-            apps: snap.apps.iter().cloned().collect(),
-            devices: snap.devices.iter().cloned().collect(),
-            seen: snap.seen.iter().copied().collect(),
-            stats: snap.stats.clone(),
-        }
+        let mut store = AggregationStore::new();
+        store.absorb(snap);
+        store
     }
 
     /// The top-N report over several partitions of one store (a node's
-    /// shard stores), read in place: each app's reports across the
-    /// parts are ranked through [`HangBugReport::joined_entries`], and
-    /// distinct `(app, device)` pairs are counted by walking the parts'
-    /// sorted sets together. Nothing is merged or copied, fingerprint
-    /// sets and counters are not read, and the answer is byte-identical
-    /// to [`absorb`]-folding the partitions' snapshots, then reporting.
+    /// shard stores), read in place: what a fresh [`ReportView`] over
+    /// every app of the parts answers. Nothing is merged or copied,
+    /// fingerprint sets and counters are not read, and the answer is
+    /// byte-identical to [`absorb`]-folding the partitions' snapshots,
+    /// then reporting.
     ///
     /// [`absorb`]: AggregationStore::absorb
     pub fn fold_report(parts: &[&AggregationStore], top_n: usize) -> TelemetryReport {
-        let mut per_app = Vec::new();
-        walk_union(parts.iter().map(|p| p.apps.iter()), |app, reports| {
-            per_app.push((app.as_str(), HangBugReport::joined_entries(reports)));
-        });
-        // A lone set is its own union; walking its thousand-odd pairs
-        // would double the cost of a single store's report.
-        let devices = match parts {
-            [one] => one.devices.len(),
-            _ => {
-                let mut devices = 0;
-                let sets = parts
-                    .iter()
-                    .map(|p| p.devices.iter().map(|pair| (pair, ())));
-                walk_union(sets, |_, _| devices += 1);
-                devices
-            }
-        };
-        TelemetryReport::rank(per_app, devices, top_n)
+        let mut apps: Vec<&str> = parts
+            .iter()
+            .flat_map(|p| p.apps.keys().chain(p.devices.keys()))
+            .map(String::as_str)
+            .collect();
+        apps.sort_unstable();
+        apps.dedup();
+        let rows: Vec<(&str, AppRows)> = apps
+            .into_iter()
+            .map(|app| (app, AggregationStore::app_rows(parts, app)))
+            .collect();
+        AppRows::rank(rows.iter().map(|(app, rows)| (*app, rows)), top_n)
+    }
+
+    /// One app's share of the report over `parts`, the one projection
+    /// behind [`fold_report`](AggregationStore::fold_report) and the
+    /// server's view: its rows through [`HangBugReport::joined_entries`]
+    /// and its distinct devices across the parts.
+    fn app_rows(parts: &[&AggregationStore], app: &str) -> AppRows {
+        let reports: Vec<&HangBugReport> = parts.iter().filter_map(|p| p.apps.get(app)).collect();
+        let sets: Vec<&BTreeSet<u32>> = parts.iter().filter_map(|p| p.devices.get(app)).collect();
+        // A device counts in the first part that holds it.
+        let devices = sets
+            .iter()
+            .enumerate()
+            .map(|(i, set)| {
+                set.iter()
+                    .filter(|d| !sets[..i].iter().any(|s| s.contains(d)))
+                    .count()
+            })
+            .sum();
+        AppRows {
+            rows: (!reports.is_empty()).then(|| HangBugReport::joined_entries(&reports)),
+            devices,
+        }
     }
 
     /// CRDT merge: folds another store's state (typically a different
@@ -222,33 +273,87 @@ impl AggregationStore {
     /// single-node store exactly.
     pub fn absorb(&mut self, snap: &StoreSnapshot) {
         for (app, report) in &snap.apps {
+            self.mark(app);
             self.apps
                 .entry(app.clone())
                 .or_insert_with(|| HangBugReport::new(app))
                 .merge(report);
         }
-        self.devices.extend(snap.devices.iter().cloned());
+        for (app, device) in &snap.devices {
+            self.add_device(app, *device);
+        }
         self.seen.extend(snap.seen.iter().copied());
         self.stats.merge(&snap.stats);
     }
 }
 
-/// Walks the union of key-sorted sequences with no key twice in one
-/// sequence, handing `visit` each distinct key, in order, with the
-/// values every sequence holding it pairs it with.
-fn walk_union<'a, K: Ord + 'a, V, I: Iterator<Item = (&'a K, V)>>(
-    seqs: impl Iterator<Item = I>,
-    mut visit: impl FnMut(&'a K, &[V]),
-) {
-    let mut seqs: Vec<Peekable<I>> = seqs.map(Iterator::peekable).collect();
-    let mut group = Vec::with_capacity(seqs.len());
-    while let Some(key) = seqs.iter_mut().filter_map(|s| s.peek().map(|e| e.0)).min() {
-        group.clear();
-        group.extend(
-            seqs.iter_mut()
-                .filter_map(|s| s.next_if(|e| e.0 == key).map(|e| e.1)),
-        );
-        visit(key, &group);
+/// One app's share of the Hang Bug Report, joined across partitions.
+#[derive(Debug)]
+struct AppRows {
+    /// The app's report rows; `None` when no part holds a report for
+    /// it, so it counts toward `devices` but not toward `apps`.
+    rows: Option<Vec<ReportEntry>>,
+    /// Distinct devices that contributed under the app.
+    devices: usize,
+}
+
+impl AppRows {
+    /// The top-N report over every app's share, each app once.
+    fn rank<'a>(
+        apps: impl Iterator<Item = (&'a str, &'a AppRows)> + Clone,
+        top_n: usize,
+    ) -> TelemetryReport {
+        let devices = apps.clone().map(|(_, a)| a.devices).sum();
+        let per_app = apps.filter_map(|(app, a)| Some((app, a.rows.as_deref()?)));
+        TelemetryReport::rank(per_app, devices, top_n)
+    }
+}
+
+/// The Hang Bug Report kept between queries over one set of store
+/// partitions: each app's joined rows and device count. [`update`]
+/// re-joins only the apps some partition changed since the view last
+/// read it, and [`report`] ranks the kept rows, so a query costs the
+/// apps written since the previous one rather than the whole fleet.
+///
+/// A store marks every app an applied batch, an [`absorb`] or a
+/// [`from_snapshot`] touches; a batch that merged nothing new still
+/// marks its apps. Marks live outside the snapshot, so the first update
+/// over stores just recovered from disk is a full fold. A view is exact
+/// only while it is the one reader draining its partitions' marks and
+/// sees the same partitions on every update.
+///
+/// [`update`]: ReportView::update
+/// [`report`]: ReportView::report
+/// [`absorb`]: AggregationStore::absorb
+/// [`from_snapshot`]: AggregationStore::from_snapshot
+#[derive(Debug, Default)]
+pub struct ReportView {
+    apps: BTreeMap<String, AppRows>,
+}
+
+impl ReportView {
+    /// A view that has read nothing yet.
+    pub fn new() -> ReportView {
+        ReportView::default()
+    }
+
+    /// Drains the apps each of `parts` changed since the last update and
+    /// re-joins those apps across all the parts.
+    pub fn update(&mut self, parts: &mut [&mut AggregationStore]) {
+        let mut changed = BTreeSet::new();
+        for part in parts.iter_mut() {
+            changed.append(&mut part.changed);
+        }
+        let parts: Vec<&AggregationStore> = parts.iter().map(|p| &**p).collect();
+        for app in changed {
+            let rows = AggregationStore::app_rows(&parts, &app);
+            self.apps.insert(app, rows);
+        }
+    }
+
+    /// The top-N report as of the last update.
+    pub fn report(&self, top_n: usize) -> TelemetryReport {
+        AppRows::rank(self.apps.iter().map(|(app, a)| (app.as_str(), a)), top_n)
     }
 }
 
@@ -382,8 +487,8 @@ mod tests {
                 right.ingest(b);
             }
         }
-        assert!(left.devices.contains(&("a".to_string(), 1)));
-        assert!(right.devices.contains(&("a".to_string(), 1)));
+        assert!(left.devices["a"].contains(&1));
+        assert!(right.devices["a"].contains(&1));
         let mut fold_lr = AggregationStore::new();
         fold_lr.absorb(&left.snapshot());
         fold_lr.absorb(&right.snapshot());

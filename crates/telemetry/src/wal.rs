@@ -377,6 +377,36 @@ pub fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.snap"))
 }
 
+/// The shard files under `dir` (`shard-N.wal`, `shard-N.snap`) whose
+/// shard index `N` is `shards` or more, sorted by index: what a server
+/// with more shards left behind. A missing directory holds none.
+pub(crate) fn shard_files_beyond(
+    dir: &Path,
+    shards: usize,
+) -> Result<Vec<(usize, String)>, TelemetryError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    let mut found = Vec::new();
+    for entry in entries {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let shard = name
+            .strip_prefix("shard-")
+            .and_then(|rest| {
+                rest.strip_suffix(".wal")
+                    .or_else(|| rest.strip_suffix(".snap"))
+            })
+            .and_then(|index| index.parse::<usize>().ok());
+        if let Some(shard) = shard.filter(|&s| s >= shards) {
+            found.push((shard, name));
+        }
+    }
+    found.sort();
+    Ok(found)
+}
+
 /// Rebuilds one shard's store from what its files hold: the compaction
 /// snapshot, if any, then every logged batch in append order, under the
 /// fingerprint the live ingest applied it with. The recovery invariant

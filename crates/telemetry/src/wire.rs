@@ -252,13 +252,19 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// The JSON envelope inside every frame. Concrete over
+/// The JSON envelope inside every frame. Decoding reads it; encoding
+/// writes its bytes around the body ([`encode_frame_in`]). Concrete over
 /// [`serde::Value`] because the vendored derive shim rejects generics.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Envelope {
     schema: String,
     body: serde::Value,
 }
+
+/// What precedes the schema tag in an encoded envelope.
+const ENVELOPE_HEAD: &[u8] = b"{\"schema\":\"";
+/// What sits between the schema tag and the body in an encoded envelope.
+const ENVELOPE_BODY: &[u8] = b"\",\"body\":";
 
 /// Encodes `body` into a complete frame (magic + length + envelope) in
 /// the current dialect.
@@ -268,17 +274,21 @@ pub fn encode_frame<T: Serialize>(body: &T) -> Vec<u8> {
 
 /// Encodes `body` into a complete frame in an explicit dialect — the
 /// server answers each connection in the dialect it was addressed in.
+/// The envelope is written around the body's canonical JSON, byte for
+/// byte what rendering the `{schema, body}` envelope decoding reads
+/// gives (no tag needs escaping).
 pub fn encode_frame_in<T: Serialize>(version: WireVersion, body: &T) -> Vec<u8> {
-    let envelope = Envelope {
-        schema: version.tag().to_string(),
-        body: body.to_value(),
-    };
-    let json = serde_json::to_string(&envelope).expect("envelope serializes");
-    let payload = json.as_bytes();
-    let mut frame = Vec::with_capacity(8 + payload.len());
+    let body = serde_json::to_string(body).expect("body serializes");
+    let tag = version.tag().as_bytes();
+    let len = ENVELOPE_HEAD.len() + tag.len() + ENVELOPE_BODY.len() + body.len() + 1;
+    let mut frame = Vec::with_capacity(8 + len);
     frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(ENVELOPE_HEAD);
+    frame.extend_from_slice(tag);
+    frame.extend_from_slice(ENVELOPE_BODY);
+    frame.extend_from_slice(body.as_bytes());
+    frame.push(b'}');
     frame
 }
 
@@ -464,9 +474,10 @@ pub fn drain_frames_with<T: Deserialize, A>(
 pub fn upload_fingerprint_from_payload(payload: &[u8], version: WireVersion) -> Option<u64> {
     let tag = version.tag();
     let mut prefix = Vec::with_capacity(32 + tag.len());
-    prefix.extend_from_slice(b"{\"schema\":\"");
+    prefix.extend_from_slice(ENVELOPE_HEAD);
     prefix.extend_from_slice(tag.as_bytes());
-    prefix.extend_from_slice(b"\",\"body\":{\"Upload\":");
+    prefix.extend_from_slice(ENVELOPE_BODY);
+    prefix.extend_from_slice(b"{\"Upload\":");
     let body_end = payload.len().checked_sub(2)?;
     if body_end <= prefix.len() || !payload.starts_with(&prefix) || &payload[body_end..] != b"}}" {
         return None;
@@ -674,6 +685,77 @@ mod tests {
             upload_fingerprint_from_payload(&q[8..], WireVersion::V2),
             None
         );
+    }
+
+    #[test]
+    fn frames_render_the_envelope_byte_for_byte() {
+        use crate::store::AggregationStore;
+        use hangdoctor::{RootCause, RootKind};
+        use hd_simrt::ActionUid;
+
+        fn check<T: Serialize>(body: &T) {
+            for version in [WireVersion::V2, WireVersion::Control] {
+                let envelope = Envelope {
+                    schema: version.tag().to_string(),
+                    body: body.to_value(),
+                };
+                let payload = serde_json::to_string(&envelope).unwrap();
+                let frame = encode_frame_in(version, body);
+                assert_eq!(&frame[..4], &MAGIC);
+                assert_eq!(&frame[4..8], &(payload.len() as u32).to_be_bytes());
+                assert_eq!(std::str::from_utf8(&frame[8..]).unwrap(), payload);
+            }
+        }
+
+        let mut report = HangBugReport::new("app \"quoted\"");
+        report.note_execution(7, ActionUid(1), "onOpen");
+        let root = RootCause {
+            symbol: "java.io.File.read".to_string(),
+            file: "Open.java".to_string(),
+            line: 31,
+            occurrence_factor: 0.5,
+            kind: RootKind::BlockingApi,
+        };
+        report.record_bug(7, ActionUid(1), &root, 150_000_000);
+        let batch = UploadBatch {
+            app: "app".to_string(),
+            device: 7,
+            seq: 3,
+            items: vec![TelemetryItem::Report(report)],
+        };
+        let mut store = AggregationStore::new();
+        store.ingest(&batch);
+        let empty = TelemetryReport::build([], 0, 3);
+        let requests = [
+            Request::Upload(batch.clone()),
+            Request::Query { top_n: 10 },
+            Request::Shutdown,
+            Request::Hello {
+                supported: SUPPORTED_SCHEMAS.iter().map(|s| s.to_string()).collect(),
+            },
+            Request::Export,
+            Request::Control(ControlRequest::QueryState { device: 9 }),
+            Request::Control(ControlRequest::RolloutStatus),
+        ];
+        let responses = [
+            Response::Ack {
+                fingerprint: u64::MAX,
+                duplicate: true,
+            },
+            Response::Nack { retry_after_ms: 5 },
+            Response::Report(store.report(10)),
+            Response::Report(empty),
+            Response::Error("line\nbreak".to_string()),
+            Response::Bye,
+            Response::Welcome {
+                schema: SCHEMA.to_string(),
+            },
+            Response::State(store.snapshot()),
+            Response::Control(ControlResponse::Ok),
+            Response::Control(ControlResponse::Err("no".to_string())),
+        ];
+        requests.iter().for_each(check);
+        responses.iter().for_each(check);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Property test of the query projection: for any split of the same
+//! Property tests of the query projection: for any split of the same
 //! uploads over 1 to 4 store partitions, ranking root causes straight
 //! from the partitions equals merging the partitions first, and the
-//! merge gives the same bytes in any rotation of the partitions.
+//! merge gives the same bytes in any rotation of the partitions. And a
+//! [`ReportView`] kept across any sequence of ingests, absorbs and
+//! queries answers every query as a fresh fold of the partitions does.
 //!
 //! Every domain is tiny so the hard cases come up in most cases: one
 //! device uploading to two partitions with reports of different sizes
@@ -15,7 +17,7 @@ use proptest::prelude::*;
 
 use hangdoctor::{HangBugReport, RootCause, RootKind};
 use hd_simrt::ActionUid;
-use hd_telemetry::{AggregationStore, TelemetryItem, UploadBatch};
+use hd_telemetry::{AggregationStore, ReportView, TelemetryItem, UploadBatch};
 
 const APPS: [&str; 2] = ["k9mail", "omni-notes"];
 const ACTIONS: [&str; 3] = ["onOpen", "onRefresh", "onScroll"];
@@ -49,6 +51,15 @@ fn arb_upload() -> impl Strategy<Value = Upload> {
             0..4,
         ),
     )
+}
+
+/// One step of a view sequence: the operation (ingest, absorb or
+/// query), the upload it may apply, the batch layout, the partition a
+/// sibling absorb reads from, and the query's N.
+type Step = (usize, Upload, usize, usize, usize);
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0usize..8, arb_upload(), 0usize..3, 0usize..4, 1usize..8)
 }
 
 fn report(&(_, app, device, ref runs, ref bugs): &Upload) -> HangBugReport {
@@ -130,6 +141,62 @@ proptest! {
         for _ in 0..n_parts {
             prop_assert_eq!(AggregationStore::fold_report(&parts, top_n).to_json(), want.clone());
             parts.rotate_left(1);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_report_view_answers_as_a_fresh_fold(
+        steps in proptest::collection::vec(arb_step(), 1..24),
+        n_parts in 1usize..5,
+    ) {
+        let mut stores: Vec<AggregationStore> =
+            (0..n_parts).map(|_| AggregationStore::new()).collect();
+        let mut view = ReportView::new();
+        let last = steps.len() - 1;
+        for (seq, (op, upload, layout, from, top_n)) in steps.iter().enumerate() {
+            let part = upload.0 % n_parts;
+            // Layouts: the report under its own app; under the other
+            // app's batch; a batch with no items.
+            let app = APPS[(upload.1 + usize::from(*layout == 1)) % 2];
+            let items = match layout {
+                2 => Vec::new(),
+                _ => vec![TelemetryItem::Report(report(upload))],
+            };
+            let batch = UploadBatch {
+                app: app.to_string(),
+                device: upload.2,
+                seq: seq as u64,
+                items,
+            };
+            match op {
+                0..=4 => {
+                    stores[part].ingest(&batch);
+                }
+                // A rejoining node's state, new to every partition.
+                5 => {
+                    let mut other = AggregationStore::new();
+                    other.ingest(&batch);
+                    stores[part].absorb(&other.snapshot());
+                }
+                6 => {
+                    let snap = stores[from % n_parts].snapshot();
+                    stores[part].absorb(&snap);
+                }
+                _ => {}
+            }
+            if *op == 7 || seq == last {
+                let mut parts: Vec<&mut AggregationStore> = stores.iter_mut().collect();
+                view.update(&mut parts);
+                let parts: Vec<&AggregationStore> = stores.iter().collect();
+                prop_assert_eq!(
+                    view.report(*top_n).to_json(),
+                    AggregationStore::fold_report(&parts, *top_n).to_json()
+                );
+            }
         }
     }
 }

@@ -244,3 +244,51 @@ fn killed_server_replays_its_wal_to_the_identical_aggregate() {
     again.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restart with fewer shards would recover only the first shards'
+/// files and silently drop the ACKed batches in the others, so it is
+/// refused with a typed error naming them. The same shard count
+/// recovers every batch to the same report.
+#[test]
+fn restart_with_fewer_shards_is_refused() {
+    let dir = scratch("fewer");
+    let wal_dir = dir.to_string_lossy().to_string();
+    let start = |shards: usize| {
+        TelemetryServer::builder()
+            .addr("127.0.0.1:0")
+            .shards(shards)
+            .wal_dir(wal_dir.clone())
+            .start()
+    };
+
+    let server = start(4).unwrap();
+    let mut client = Uploader::plain(server.local_addr());
+    for device in 1..=16 {
+        client.upload(&batch("k9mail", device, 0, 1)).unwrap();
+    }
+    let before = client.query(10).unwrap();
+    assert_eq!((before.devices, before.groups[0].hangs), (16, 16));
+    drop(client);
+    server.kill();
+
+    match start(2) {
+        Err(TelemetryError::Config { field, reason }) => {
+            assert_eq!(field, "shards");
+            for orphan in ["shard-2.wal", "shard-3.wal"] {
+                assert!(reason.contains(orphan), "{orphan} unnamed in: {reason}");
+            }
+        }
+        other => panic!(
+            "expected a shards Config error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+
+    let again = start(4).unwrap();
+    assert_eq!(again.stats().batches_recovered, 16);
+    let mut client = Uploader::plain(again.local_addr());
+    assert_eq!(client.query(10).unwrap().to_json(), before.to_json());
+    client.shutdown().unwrap();
+    again.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
