@@ -44,7 +44,6 @@ const FLAGS: &str = "\
 --telemetry  -          -               fleet through a loopback server: the differential
 --addr       HOST:PORT  127.0.0.1:7077  server address
 --shards     N          4               serve: ingest shards
---queue      N          64              serve: queue depth per shard
 --top        N          25              hang groups per exported report
 --shutdown   -          -               upload/control: stop the server afterwards
 --nodes      N          3               cluster: nodes
@@ -340,11 +339,11 @@ fn sast_bench(o: &Opts) -> Result<(), String> {
 }
 
 fn telemetry_bench(o: &Opts) -> Result<(), String> {
-    let mut spec = hd_telemetry::BenchSpec::default();
+    let mut spec = ingest::BenchSpec::default();
     if o.on("quick") {
         spec.batches_per_client = 16;
     }
-    let bench = hd_telemetry::run_telemetry_bench(&spec);
+    let bench = ingest::run_telemetry_bench(&spec);
     write_artifact(o, "BENCH_telemetry.json", &bench, bench.render())
 }
 
@@ -448,13 +447,11 @@ fn bench_summary(o: &Opts) -> Result<(), String> {
 
 fn serve(o: &Opts) -> Result<(), String> {
     let addr: String = o.get("addr");
-    let (shards, queue, node): (usize, usize, u64) =
-        (o.get("shards"), o.get("queue"), o.get("node-id"));
+    let (shards, node): (usize, u64) = (o.get("shards"), o.get("node-id"));
     let wal: Option<String> = o.opt("wal");
     let mut builder = hd_telemetry::TelemetryServer::builder()
         .addr(&addr)
         .shards(shards)
-        .queue_capacity(queue)
         .node_id(node);
     if let Some(dir) = &wal {
         builder = builder.wal_dir(dir.clone());
@@ -466,7 +463,7 @@ fn serve(o: &Opts) -> Result<(), String> {
         format!("WAL under {d} as node {node}")
     });
     println!(
-        "hd-telemetry server listening on {} ({shards} shards, queue {queue}, {durability}); \
+        "hd-telemetry server listening on {} ({shards} shards, {durability}); \
          stop it with `repro upload --shutdown` or any shutdown frame",
         server.local_addr(),
     );
@@ -477,12 +474,8 @@ fn serve(o: &Opts) -> Result<(), String> {
     let s = server.join();
     let text = format!(
         "server stopped: {} connections, {} batches applied ({} duplicates absorbed), \
-         {} NACKs sent, {} recovered from WAL",
-        s.connections,
-        s.ingest.batches_applied,
-        s.ingest.duplicates_absorbed,
-        s.nacks_sent,
-        s.batches_recovered
+         {} recovered from WAL",
+        s.connections, s.ingest.batches_applied, s.ingest.duplicates_absorbed, s.batches_recovered
     );
     emit(o, &s, text)
 }

@@ -32,7 +32,7 @@
 //! is what transfers across machines; the committed absolute snapshot
 //! ([`INGEST_SNAPSHOT_REPORTS_PER_SEC`]) rides along for context.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -43,14 +43,12 @@ use hd_control::{CohortHealth, ControlAgent, RolloutSpec, RolloutStage, SyncRepo
 use hd_faults::CtrlFaultConfig;
 use hd_fleet::{run_fleet_with_reports_overridden, DeviceOverride, FleetSpec};
 use hd_metrics::percentile_u64;
-use hd_telemetry::{
-    bench::synthetic_batch, ControlClient, PipelinedUploader, TelemetryError, TelemetryServer,
-    Uploader,
-};
+use hd_telemetry::{ControlClient, TelemetryError, TelemetryServer, Uploader};
 use serde::{Deserialize, Serialize};
 
 use crate::common::{trio, trio_fleet};
 use crate::differential::{Arm, Differential, DifferentialReport};
+use crate::ingest::{pipelined_client, synthetic_frames};
 
 /// Schema tag of `BENCH_control.json`.
 pub const CONTROL_BENCH_SCHEMA: &str = "hang-doctor/control-bench/v1";
@@ -92,7 +90,6 @@ fn pushed_arm(spec: &FleetSpec, thresholds: SymptomThresholds, chaos_rate: f64) 
     let server = TelemetryServer::builder()
         .addr("127.0.0.1:0")
         .shards(2)
-        .queue_capacity(64)
         .io_workers(1)
         .start()
         .expect("bind loopback control server");
@@ -286,35 +283,6 @@ impl ControlBench {
     }
 }
 
-/// One pipelined ingest client, as in the telemetry bench: window of
-/// pre-encoded frames in flight, NACKs re-sent in place.
-fn ingest_client(addr: SocketAddr, frames: &[Vec<u8>], window: usize) {
-    let mut up = PipelinedUploader::connect(addr).expect("bench uploader connect");
-    let mut pending: VecDeque<usize> = VecDeque::with_capacity(window);
-    let mut next = 0usize;
-    let mut completed = 0usize;
-    while completed < frames.len() {
-        while pending.len() < window && next < frames.len() {
-            up.send_encoded(&frames[next]).expect("bench send");
-            pending.push_back(next);
-            next += 1;
-        }
-        match up.recv() {
-            Ok(_) => {
-                pending.pop_front();
-                completed += 1;
-            }
-            Err(TelemetryError::Nack { retry_after_ms }) => {
-                let idx = pending.pop_front().expect("nack matches in-flight");
-                thread::sleep(Duration::from_millis(retry_after_ms));
-                up.send_encoded(&frames[idx]).expect("bench re-send");
-                pending.push_back(idx);
-            }
-            Err(e) => panic!("bench upload failed: {e}"),
-        }
-    }
-}
-
 /// One bench leg against a fresh loopback server: the full pipelined
 /// upload workload, with concurrent control probing when `probe` is
 /// set. Returns `(reports ingested, wall, control latencies µs)`.
@@ -322,9 +290,7 @@ fn ingest_leg(frames: &[Vec<Vec<u8>>], probe: bool) -> (u64, Duration, Vec<u64>)
     let server = TelemetryServer::builder()
         .addr("127.0.0.1:0")
         .shards(4)
-        .queue_capacity(256)
         .io_workers(2)
-        .nack_retry_ms(1)
         .start()
         .expect("bind loopback bench server");
     let addr = server.local_addr();
@@ -349,7 +315,7 @@ fn ingest_leg(frames: &[Vec<Vec<u8>>], probe: bool) -> (u64, Duration, Vec<u64>)
     thread::scope(|scope| {
         let handles: Vec<_> = frames
             .iter()
-            .map(|frames| scope.spawn(|| ingest_client(addr, frames, 32)))
+            .map(|frames| scope.spawn(|| pipelined_client(addr, frames, 32)))
             .collect();
         // Probe until ingest drains: alternate a state query and a
         // device sync, the two hot control verbs.
@@ -396,21 +362,7 @@ pub fn run_control_bench(
     batches_per_client: usize,
     reports_per_batch: usize,
 ) -> ControlBench {
-    // Pre-encode the ingest load so the clock measures the wire, not
-    // the harness's serialization.
-    let frames: Vec<Vec<Vec<u8>>> = (0..clients)
-        .map(|client| {
-            (0..batches_per_client as u64)
-                .map(|seq| {
-                    PipelinedUploader::encode_upload(&synthetic_batch(
-                        client,
-                        seq,
-                        reports_per_batch,
-                    ))
-                })
-                .collect()
-        })
-        .collect();
+    let frames = synthetic_frames(clients, batches_per_client, reports_per_batch);
 
     // Best-of-3 per leg: on small or contended machines a single run's
     // wall time is dominated by scheduler noise; the minimum wall is
@@ -742,7 +694,6 @@ mod tests {
         let server = TelemetryServer::builder()
             .addr("127.0.0.1:0")
             .shards(2)
-            .queue_capacity(64)
             .io_workers(1)
             .start()
             .expect("bind loopback control server");
@@ -810,7 +761,6 @@ mod tests {
         let server = TelemetryServer::builder()
             .addr("127.0.0.1:0")
             .shards(2)
-            .queue_capacity(64)
             .io_workers(1)
             .start()
             .expect("bind loopback control server");

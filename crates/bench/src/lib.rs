@@ -47,8 +47,10 @@
 //!   aggregation, and the N-node fold vs one store across
 //!   kill-and-restart: byte-identical.
 //!
-//! [`control`] also benches control round trips under full ingest
-//! load. The `repro` binary drives everything from one command table.
+//! [`ingest`] is the loopback ingest benchmark behind
+//! `BENCH_telemetry.json` and the one pipelined upload loop; [`control`]
+//! runs that loop to bench control round trips under full ingest load.
+//! The `repro` binary drives everything from one command table.
 
 pub mod ablation;
 pub mod async_diff;
@@ -64,6 +66,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod generality;
+pub mod ingest;
 pub mod sast;
 pub mod table1;
 pub mod table2;

@@ -29,8 +29,8 @@ use hd_faults::{NetFaultConfig, NetFaultTally, NodeCrashPlan};
 use hd_fleet::{FleetReport, JobReport, MergedFleet};
 use hd_simrt::strided_map;
 use hd_telemetry::{
-    AggregationStore, Cluster, ClusterConfig, ServerConfig, TelemetryError, TelemetryItem,
-    TelemetryReport, TelemetryServer, UploadBatch, Uploader, UploaderConfig,
+    AggregationStore, Cluster, ClusterConfig, TelemetryError, TelemetryItem, TelemetryReport,
+    TelemetryServer, UploadBatch, Uploader, UploaderConfig,
 };
 
 use crate::differential::{Arm, Differential, DifferentialReport};
@@ -88,7 +88,6 @@ pub fn networked_arm(
     let server = TelemetryServer::builder()
         .addr("127.0.0.1:0")
         .shards(threads)
-        .queue_capacity(threads.max(ServerConfig::default().queue_capacity))
         .start()
         .expect("bind loopback server");
     let addr = server.local_addr();

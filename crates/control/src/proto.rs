@@ -51,7 +51,8 @@ pub struct StackDump {
 pub struct CohortHealth {
     /// Upload batches the device delivered.
     pub uploads: u64,
-    /// Queue-full NACKs its uploader received.
+    /// NACKs its uploader received. Protocol: the hd-telemetry server
+    /// sends none, so a device's bad count is its aborts there.
     pub nacks: u64,
     /// Diagnosis sessions aborted on-device.
     pub aborts: u64,

@@ -516,8 +516,9 @@ pub struct NetFaultTally {
     pub frames_duplicated: u64,
     /// Upload attempts repeated after a drop or a NACK.
     pub upload_retries: u64,
-    /// Retryable NACKs received from the server (queue-full
-    /// backpressure).
+    /// Retryable NACKs received from the server. Protocol: the
+    /// hd-telemetry server applies every upload and sends none, so this
+    /// reads 0 against it.
     pub nacks_received: u64,
     /// Duplicate deliveries the server's idempotent ingest absorbed.
     pub duplicates_absorbed: u64,

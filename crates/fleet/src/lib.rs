@@ -695,11 +695,11 @@ fn run_fleet_inner(
     let devices_per_app = spec.devices_per_app as usize;
     let mut shards: Vec<ShardStat> = Vec::with_capacity(threads);
     let mut folded: Option<FleetAccum> = None;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let compiled = &compiled;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let begun = Instant::now();
                 let mut accum = FleetAccum::new(spec);
                 let mut hot: Option<(usize, Arc<CompiledApp>)> = None;
@@ -740,8 +740,7 @@ fn run_fleet_inner(
                 None => folded = Some(accum),
             }
         }
-    })
-    .expect("fleet scope panicked");
+    });
 
     let folded = folded.expect("at least one shard ran");
     debug_assert_eq!(folded.jobs, total_jobs);

@@ -2,8 +2,9 @@
 //!
 //! Spools [`UploadBatch`]es to a telemetry server over TCP, surviving
 //! the transport faults `hd-faults` can inject (dropped connections,
-//! delayed deliveries, duplicated frames) and the server's queue-full
-//! NACKs. Delivery is **at-least-once**; the server's idempotent ingest
+//! delayed deliveries, duplicated frames) and honouring a server's
+//! NACKs, which stay in the protocol although this crate's server sends
+//! none. Delivery is **at-least-once**; the server's idempotent ingest
 //! turns that into exactly-once state.
 //!
 //! Two clients live here. [`Uploader`] is the synchronous,
@@ -211,9 +212,9 @@ impl Uploader {
                                 duplicate: true, ..
                             }) => self.faults.tally.duplicates_absorbed += 1,
                             Ok(Response::Nack { .. }) | Err(_) => {
-                                // The duplicate was shed (queue full or
-                                // transport loss) — acceptable: the
-                                // original delivery already ACKed.
+                                // The duplicate was shed or lost in
+                                // transport — acceptable: the original
+                                // delivery already ACKed.
                             }
                             Ok(other) => {
                                 return Err(TelemetryError::Protocol(format!(
@@ -230,7 +231,7 @@ impl Uploader {
                 }
                 Ok(Response::Nack { retry_after_ms }) => {
                     self.faults.tally.nacks_received += 1;
-                    last_err = "queue-full NACK".to_string();
+                    last_err = "NACK".to_string();
                     self.backoff(attempt, Some(retry_after_ms));
                 }
                 Ok(Response::Error(e)) => return Err(TelemetryError::Protocol(e)),
@@ -292,8 +293,9 @@ impl Uploader {
 
 /// The lean throughput path: keeps many batches in flight on one
 /// connection and reads ACKs in request order. No fault injection, no
-/// internal retries — a NACK surfaces as [`TelemetryError::Nack`] with
-/// the request-order index so the caller can re-send exactly that batch.
+/// internal retries. A NACK (which this crate's server never sends)
+/// surfaces as [`TelemetryError::Nack`] in request order, so the caller
+/// knows exactly which batch was shed.
 pub struct PipelinedUploader {
     stream: TcpStream,
     inflight: usize,
@@ -336,8 +338,8 @@ impl PipelinedUploader {
         Ok(())
     }
 
-    /// Blocks for the next response in request order. A queue-full shed
-    /// is returned as [`TelemetryError::Nack`]; the caller owns the
+    /// Blocks for the next response in request order. A NACK is
+    /// returned as [`TelemetryError::Nack`]; the caller owns the
     /// in-flight bookkeeping, so it knows which batch that was.
     pub fn recv(&mut self) -> Result<UploadReceipt, TelemetryError> {
         if self.inflight == 0 {

@@ -35,10 +35,8 @@ use crate::store::{AggregationStore, StoreSnapshot};
 pub struct ClusterConfig {
     /// Number of server nodes.
     pub nodes: usize,
-    /// Shard workers per node.
+    /// Shards (store partitions) per node.
     pub shards: usize,
-    /// Bounded queue depth per shard.
-    pub queue_capacity: usize,
     /// I/O workers per node.
     pub io_workers: usize,
     /// Durability root: node `i` logs under `<root>/node-<i>/`.
@@ -51,7 +49,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 3,
             shards: 2,
-            queue_capacity: 64,
             io_workers: 1,
             wal_root: None,
         }
@@ -109,7 +106,6 @@ impl Cluster {
         let mut builder = TelemetryServer::builder()
             .addr("127.0.0.1:0")
             .shards(cfg.shards)
-            .queue_capacity(cfg.queue_capacity)
             .io_workers(cfg.io_workers)
             .node_id(id as u64);
         if let Some(dir) = wal_dir {

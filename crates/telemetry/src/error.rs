@@ -4,9 +4,9 @@
 //! the server constructor, [`FrameError`] on the wire helpers, and a
 //! separate `UploadError` on the client. [`TelemetryError`] replaces
 //! that mix with one typed enum covering every failure the public
-//! surface can report — frame decode, transport I/O, queue-full
-//! backpressure, schema drift, WAL corruption, invalid configuration,
-//! and retry exhaustion. Every conversion is non-panicking: the
+//! surface can report — frame decode, transport I/O, a NACK,
+//! schema drift, WAL corruption, invalid configuration, and retry
+//! exhaustion. Every conversion is non-panicking: the
 //! `From` impls below mean `?` works across the whole crate without
 //! `map_err` noise, and no path stringifies an error before the caller
 //! has had the chance to match on it.
@@ -25,8 +25,10 @@ pub enum TelemetryError {
     /// Transport or file I/O failed. Carries the rendered
     /// `io::Error` so the variant stays `Clone`/`PartialEq`.
     Io(String),
-    /// The server shed the request under queue-full backpressure; the
-    /// operation was **not** applied and may be retried after the hint.
+    /// The server shed the request under backpressure; the operation
+    /// was **not** applied and may be retried after the hint. Protocol:
+    /// this crate's server applies every upload it decodes and sends no
+    /// NACKs, but a client still surfaces one it receives.
     Nack {
         /// Server-suggested backoff, ms.
         retry_after_ms: u64,

@@ -9,8 +9,9 @@
 //!   fingerprint a content address — the key the idempotent ingest
 //!   dedups duplicate deliveries on.
 //! * [`shard_for`] hashes the `(app, device)` pair. All batches of one
-//!   device route to one shard worker, preserving per-device ordering
-//!   without any cross-shard coordination.
+//!   device route to one shard (and arrive on one connection, handled
+//!   by one io worker), preserving per-device ordering without any
+//!   cross-shard coordination.
 
 use crate::wire::UploadBatch;
 

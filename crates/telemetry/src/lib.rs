@@ -8,10 +8,9 @@
 //! `(app, action, root-cause API)` and exports the top-N ranked
 //! [`TelemetryReport`].
 //!
-//! Built entirely on `std::net` plus the vendored `crossbeam` shim —
-//! no external service dependencies. Unix-only: the server's io workers
-//! block in `poll(2)`, declared in `server.rs` (the crate's one `unsafe`
-//! call).
+//! Built entirely on `std::net` and `std::sync` — no external service
+//! dependencies. Unix-only: the server's io workers block in `poll(2)`,
+//! declared in `server.rs` (the crate's one `unsafe` call).
 //!
 //! Module map:
 //!
@@ -31,10 +30,11 @@
 //!   canonical JSON) plus compacted snapshots; kill-and-restart replays
 //!   to the identical aggregate;
 //! * [`server`] — builder-validated server: acceptor → `poll`-driven
-//!   multiplexed I/O workers woken by doorbells (batch frame decode) →
-//!   bounded shard queues → WAL-appending shard workers, with
-//!   queue-full NACK backpressure, ACK-after-apply and per-connection
-//!   caps on what a peer can make the server hold;
+//!   multiplexed I/O workers woken by doorbells, each decoding a batch
+//!   of frames and applying every upload itself under its shard's lock
+//!   (WAL append, then merge), so responses leave in request order and
+//!   a query sees every upload its connection was ACKed for; a cap on
+//!   the response bytes a peer leaves untaken;
 //! * [`client`] — the retrying [`Uploader`] with deterministic
 //!   exponential backoff and `hd-faults` transport-fault injection,
 //!   the windowed [`PipelinedUploader`] throughput path, and the
@@ -42,9 +42,10 @@
 //!   `hang-doctor/control/v1` dialect (live probes, diagnosis toggles,
 //!   canaried threshold rollout — see `hd-control`);
 //! * [`cluster`] — N-node partitioning, the stateless coordinator fold,
-//!   and kill-and-restart over the WAL;
-//! * [`bench`] — the pipelined loopback load benchmark behind
-//!   `BENCH_telemetry.json`.
+//!   and kill-and-restart over the WAL.
+//!
+//! The pipelined loopback load benchmark behind `BENCH_telemetry.json`
+//! lives in `hd-bench`.
 //!
 //! ## End-to-end invariant
 //!
@@ -62,7 +63,6 @@
 #[cfg(not(unix))]
 compile_error!("hd-telemetry's server blocks in poll(2) on Unix sockets; it builds on Unix only");
 
-pub mod bench;
 pub mod client;
 pub mod cluster;
 pub mod error;
@@ -73,7 +73,6 @@ pub mod store;
 pub mod wal;
 pub mod wire;
 
-pub use bench::{run_telemetry_bench, BenchSpec, TelemetryBench, BENCH_SCHEMA};
 pub use client::{ControlClient, PipelinedUploader, UploadReceipt, Uploader, UploaderConfig};
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::TelemetryError;

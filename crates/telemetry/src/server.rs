@@ -7,16 +7,10 @@
 //!                 │  then rings that worker's doorbell
 //!                 ▼
 //!   io worker: blocks in poll(2) on its sockets + its doorbell;
-//!              readable → batch frame decode → dispatch
-//!                 │  shard = fnv(app, device) % shards
-//!                 ▼
-//!          bounded crossbeam channel per shard   ◄── explicit backpressure:
-//!                 │                                  try_send Full → NACK
-//!                 ▼
-//!          shard worker ──► WAL append ──► owned shard store
-//!                 │
-//!                 └──► completion queue (+ doorbell if the io worker
-//!                      is parked) → io worker flushes ACK
+//!              readable → batch frame decode → handle each request:
+//!              an upload locks shard fnv(app, device) % shards,
+//!              WAL-appends and merges, and its ACK goes straight
+//!              into the connection's write buffer
 //! ```
 //!
 //! All connections are multiplexed over a fixed I/O worker pool on
@@ -24,70 +18,62 @@
 //! sockets is ready or its **doorbell** rings — a byte on a Unix socket
 //! pair whose read end sits in the poll set. Readable sockets are read,
 //! *every* complete frame is carved out in one pass ([`drain_frames`]),
-//! batches are dispatched, and responses flush as shard completions
-//! arrive, so pipelined clients keep dozens of batches in flight on one
-//! connection. An idle server makes no wake-ups at all.
+//! and each request is handled to the end before the next: an upload is
+//! applied under its shard's lock by the worker that decoded it, so
+//! every response is ready as soon as its request is handled. Pipelined
+//! clients keep dozens of batches in flight on one connection, and an
+//! upload wakes one thread. An idle server makes no wake-ups at all.
 //!
 //! The doorbell rings when another thread has handed the worker
-//! something: the acceptor after each new connection, `Shutdown` and
-//! [`TelemetryServer::kill`] for every worker, and a shard worker after
-//! a completion — but only when the io worker is *parked*. The worker
-//! raises its parked flag, re-checks its completion and new-connection
-//! queues, and only then polls; a shard worker swaps the flag back down
-//! after queueing its completion and rings only if it was up (`SeqCst`
-//! on both sides). A busy worker, which finds the completion on its next
-//! pass anyway, is never rung.
+//! something: the acceptor after each new connection, and `Shutdown`
+//! and [`TelemetryServer::kill`] for every worker.
 //!
 //! One peer cannot make the server hold unbounded state: a connection
-//! owing 1,024 responses, or holding 1 MiB of responses the peer has not
-//! taken, is not read again until it drains.
+//! holding 1 MiB of responses the peer has not taken is not read again
+//! until it drains.
 //!
 //! Properties that carry the correctness argument:
 //!
 //! * **Per-device ordering.** A device's batches arrive on one
 //!   connection (decoded in arrival order by one io worker) and all
-//!   hash to one shard, so the shard worker applies them in upload
-//!   order.
-//! * **ACK after apply.** A response slot only becomes ready once the
-//!   shard worker has WAL-appended and merged the batch, so a client
-//!   that has its ACKs can immediately query and see its own writes.
-//!   Responses flush in request order per connection, which is what
-//!   lets clients pipeline.
-//! * **Sharded state.** Each shard worker owns an
-//!   [`AggregationStore`] partition. The server keeps one
-//!   [`ReportView`]: each app's report rows joined across the
-//!   partitions. A query takes every shard's lock in index order, then
-//!   the view's, drains the apps each partition changed since the last
-//!   query, re-joins only those straight from the partitions, and ranks
-//!   the kept rows. A root cause's action may have executions in a shard
-//!   whose devices never hung on it, so a join needs every partition at
-//!   once; holding all the locks also makes the answer one consistent
-//!   cut. `Export` folds the partitions' snapshots through the CRDT
-//!   merge ([`AggregationStore::absorb`]) — the same fold the cluster
+//!   hash to one shard, so they apply in upload order.
+//! * **Per-connection order.** An io worker finishes each request of a
+//!   connection, an upload WAL-appended and merged, before it handles
+//!   the next one, and responses leave in request order. So a `Query`
+//!   or `Export` sees every upload its own connection was ACKed for
+//!   before it, pipelined or not, and a client that has its ACKs can
+//!   query on any connection and see its own writes.
+//! * **Sharded state.** Each shard is an [`AggregationStore`]
+//!   partition. The server keeps one [`ReportView`]: each app's report
+//!   rows joined across the partitions. A query takes every shard's
+//!   lock in index order, then the view's, drains the apps each
+//!   partition changed since the last query, re-joins only those
+//!   straight from the partitions, and ranks the kept rows. A root
+//!   cause's action may have executions in a shard whose devices never
+//!   hung on it, so a join needs every partition at once; holding all
+//!   the locks also makes the answer one consistent cut. `Export` folds
+//!   the partitions' snapshots through the CRDT merge
+//!   ([`AggregationStore::absorb`]) — the same fold the cluster
 //!   coordinator runs across nodes.
 //! * **Durability.** With a WAL directory configured, every batch is
-//!   appended to the shard's log *before* it merges, so
-//!   kill-and-restart replays to the identical aggregate
+//!   appended to the shard's log *before* it merges, under the same
+//!   lock, so kill-and-restart replays to the identical aggregate
 //!   (`tests/wal.rs`, and hd-bench's cluster differential).
 //!
-//! Backpressure is explicit and non-blocking: when a shard queue is
-//! full the io worker answers a retryable [`Response::Nack`] instead of
-//! stalling the connection, and the batch is **not** applied.
+//! The server never sheds an upload: there is no queue to fill. A
+//! [`Response::Nack`] stays in the protocol, and the uploaders still
+//! honour one, but this server sends none.
 
-use std::collections::{HashMap, VecDeque};
 use std::ffi::{c_int, c_short};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use crossbeam::queue::SegQueue;
 use serde::{Deserialize, Serialize};
 
 use hd_control::FleetController;
@@ -105,11 +91,12 @@ use crate::wire::{
 /// which validates every field.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServerConfig {
-    /// Shard workers (ingest parallelism); each owns a store partition.
+    /// Store partitions (shards); each has its own lock and WAL.
     pub shards: usize,
-    /// Bounded queue depth per shard; a full queue NACKs.
-    pub queue_capacity: usize,
-    /// Backoff hint carried by NACKs, ms.
+    /// The backoff hint a [`Response::Nack`] would carry, ms. The
+    /// server sends no NACKs and no builder method sets this; it stays
+    /// because perfbench's ACK check builds the NACK frame it compares
+    /// answers against from it.
     pub nack_retry_ms: u64,
     /// I/O workers multiplexing the connections.
     pub io_workers: usize,
@@ -119,21 +106,16 @@ pub struct ServerConfig {
     /// This node's id (recorded in WAL headers; the cluster routing
     /// table index).
     pub node_id: u64,
-    /// Auto-compact a shard after this many applied batches
-    /// (0 = compaction only via [`TelemetryServer::compact`]).
-    pub snapshot_every: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             shards: 4,
-            queue_capacity: 64,
             nack_retry_ms: 1,
             io_workers: 2,
             wal_dir: None,
             node_id: 0,
-            snapshot_every: 0,
         }
     }
 }
@@ -158,21 +140,9 @@ impl TelemetryServerBuilder {
         self
     }
 
-    /// Sets the number of shard workers (store partitions).
+    /// Sets the number of shards (store partitions).
     pub fn shards(mut self, v: usize) -> Self {
         self.cfg.shards = v;
-        self
-    }
-
-    /// Sets the bounded queue depth per shard.
-    pub fn queue_capacity(mut self, v: usize) -> Self {
-        self.cfg.queue_capacity = v;
-        self
-    }
-
-    /// Sets the backoff hint carried by NACKs, ms.
-    pub fn nack_retry_ms(mut self, v: u64) -> Self {
-        self.cfg.nack_retry_ms = v;
         self
     }
 
@@ -194,12 +164,6 @@ impl TelemetryServerBuilder {
         self
     }
 
-    /// Auto-compacts a shard after `v` applied batches (0 disables).
-    pub fn snapshot_every(mut self, v: u64) -> Self {
-        self.cfg.snapshot_every = v;
-        self
-    }
-
     /// Validates the configuration, binds the listener, recovers any
     /// WAL state, and starts the worker threads.
     pub fn start(self) -> Result<TelemetryServer, TelemetryError> {
@@ -207,12 +171,6 @@ impl TelemetryServerBuilder {
             return Err(TelemetryError::Config {
                 field: "shards",
                 reason: "must be at least 1".to_string(),
-            });
-        }
-        if self.cfg.queue_capacity == 0 {
-            return Err(TelemetryError::Config {
-                field: "queue_capacity",
-                reason: "must be at least 1 (a zero-depth queue NACKs everything)".to_string(),
             });
         }
         if self.cfg.io_workers == 0 {
@@ -247,9 +205,9 @@ impl TelemetryServerBuilder {
 pub struct ServerStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Upload batches accepted into a shard queue.
-    pub batches_accepted: u64,
-    /// Retryable NACKs sent on queue-full backpressure.
+    /// Always 0: the server applies every upload it decodes and sends
+    /// no NACKs. The field stays because perfbench reports it as
+    /// `telemetry.server.nacks`.
     pub nacks_sent: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
@@ -259,38 +217,6 @@ pub struct ServerStats {
     pub ingest: IngestStats,
 }
 
-/// A completed shard apply, routed back to the owning io worker.
-struct Completion {
-    conn: u64,
-    slot: u64,
-    result: Result<IngestOutcome, String>,
-}
-
-/// One unit of shard work.
-enum ShardJob {
-    /// Apply a batch (WAL-append first), then complete `(conn, slot)`
-    /// on io worker `io`.
-    Ingest {
-        batch: UploadBatch,
-        /// Ingest fingerprint recovered from the wire bytes, when the
-        /// frame was canonical; `None` makes the shard worker
-        /// re-serialize.
-        fingerprint: Option<u64>,
-        io: usize,
-        conn: u64,
-        slot: u64,
-    },
-    /// Snapshot the shard store and truncate its WAL.
-    Compact {
-        done: mpsc::Sender<Result<(), String>>,
-    },
-}
-
-/// Responses a connection may owe before it is no longer read: far
-/// above any pipelining window a client keeps in flight (at most 32),
-/// so only a peer that sends without reading reaches it.
-const MAX_PENDING: usize = 1024;
-
 /// Response bytes a connection may leave untaken before it is no longer
 /// read.
 const MAX_WBUF: usize = 1 << 20;
@@ -299,28 +225,22 @@ const MAX_WBUF: usize = 1 << 20;
 /// it to look.
 struct Inbox {
     /// Accepted connections, from the acceptor.
-    conns: SegQueue<TcpStream>,
-    /// Applied batches of this worker's connections, from the shards.
-    done: Sender<Completion>,
+    conns: Mutex<Vec<TcpStream>>,
     /// Write end of the doorbell.
     bell: UnixStream,
     /// Read end of the doorbell, in the worker's poll set.
     wake: UnixStream,
-    /// Up while the worker is in, or about to enter, `poll`.
-    parked: AtomicBool,
 }
 
 impl Inbox {
-    fn new(done: Sender<Completion>) -> io::Result<Inbox> {
+    fn new() -> io::Result<Inbox> {
         let (bell, wake) = UnixStream::pair()?;
         bell.set_nonblocking(true)?;
         wake.set_nonblocking(true)?;
         Ok(Inbox {
-            conns: SegQueue::new(),
-            done,
+            conns: Mutex::new(Vec::new()),
             bell,
             wake,
-            parked: AtomicBool::new(false),
         })
     }
 
@@ -329,14 +249,6 @@ impl Inbox {
     /// pending wake the worker just the same.
     fn ring(&self) {
         let _ = (&self.bell).write(&[1]);
-    }
-
-    /// Rings only if the worker is parked — a worker still running its
-    /// pass sees the caller's completion without one.
-    fn ring_if_parked(&self) {
-        if self.parked.swap(false, Ordering::SeqCst) {
-            self.ring();
-        }
     }
 
     /// Consumes the doorbell's pending bytes.
@@ -348,19 +260,32 @@ impl Inbox {
             }
         }
     }
+
+    /// Takes the connections handed over since the last call.
+    fn take_conns(&self) -> Vec<TcpStream> {
+        std::mem::take(&mut *self.conns.lock().expect("inbox lock"))
+    }
+}
+
+/// One shard: a store partition and, with a WAL directory, its log.
+/// One lock covers both, so a batch's append and its merge, and a
+/// compaction's snapshot and log reset, happen with nothing in between.
+struct Shard {
+    store: AggregationStore,
+    wal: Option<Wal>,
 }
 
 struct Shared {
     /// The bound listener address.
     addr: SocketAddr,
-    /// One partition per shard. Lock order: stores, then `view`. A
-    /// `Query` takes every store lock, in index order, then the view's,
+    /// One partition per shard. Lock order: shards, then `view`. A
+    /// `Query` takes every shard lock, in index order, then the view's,
     /// and holds them all while it re-joins the changed apps; every
-    /// other holder (a shard worker applying a batch, compaction,
-    /// `stats`, `Export`) holds one store lock at a time and takes no
+    /// other holder (an io worker applying a batch, compaction,
+    /// `stats`, `Export`) holds one shard lock at a time and takes no
     /// other lock under it. So no two threads can each wait for a lock
     /// the other holds.
-    stores: Vec<Mutex<AggregationStore>>,
+    shards: Vec<Mutex<Shard>>,
     /// The Hang Bug Report as of the last `Query`. Only
     /// [`Shared::report`] drains the stores' changed apps, so the view
     /// has seen every change but those it re-joins next.
@@ -369,8 +294,6 @@ struct Shared {
     shutdown: AtomicBool,
     killed: AtomicBool,
     connections: AtomicU64,
-    batches_accepted: AtomicU64,
-    nacks_sent: AtomicU64,
     decode_errors: AtomicU64,
     batches_recovered: AtomicU64,
     /// The embedded control plane. Control frames are rare and cheap
@@ -382,12 +305,38 @@ struct Shared {
 }
 
 impl Shared {
+    /// Applies one upload on the calling thread: under its shard's
+    /// lock, a batch the store has not seen is WAL-appended, then
+    /// merged; a duplicate is absorbed without touching the log.
+    /// `fingerprint` is the one recovered from the wire bytes when the
+    /// frame was canonical; `None` re-serializes the batch.
+    fn apply(
+        &self,
+        batch: &UploadBatch,
+        fingerprint: Option<u64>,
+    ) -> Result<IngestOutcome, String> {
+        let fingerprint = fingerprint.unwrap_or_else(|| batch_fingerprint(batch));
+        let index = shard_for(&batch.app, batch.device, self.shards.len());
+        let mut shard = self.shards[index].lock().expect("shard lock");
+        let Shard { store, wal } = &mut *shard;
+        if !store.contains(fingerprint) {
+            // WAL-append BEFORE the merge: a crash after the append
+            // replays the batch; a crash before it loses an un-ACKed
+            // batch the uploader will retry.
+            if let Some(wal) = wal {
+                wal.append(fingerprint, batch)
+                    .map_err(|e| format!("wal append failed: {e}"))?;
+            }
+        }
+        Ok(store.ingest_prehashed(batch, fingerprint))
+    }
+
     /// Folds every shard partition's snapshot through the CRDT merge —
     /// the full state, fingerprint set included.
     fn fold_stores(&self) -> AggregationStore {
         let mut folded = AggregationStore::new();
-        for store in &self.stores {
-            folded.absorb(&store.lock().expect("store lock").snapshot());
+        for shard in &self.shards {
+            folded.absorb(&shard.lock().expect("shard lock").store.snapshot());
         }
         folded
     }
@@ -395,16 +344,17 @@ impl Shared {
     /// The top-N report over every shard partition. Under every shard's
     /// lock at once and then the view's (the lock order above), the view
     /// re-joins the apps the shards changed since the last query, so the
-    /// answer is one consistent cut across the shards. The stores are
+    /// answer is one consistent cut across the shards. The shards are
     /// released before the kept rows are ranked.
     fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
         let mut guards: Vec<_> = self
-            .stores
+            .shards
             .iter()
-            .map(|s| s.lock().expect("store lock"))
+            .map(|s| s.lock().expect("shard lock"))
             .collect();
         let mut view = self.view.lock().expect("view lock");
-        let mut parts: Vec<&mut AggregationStore> = guards.iter_mut().map(|g| &mut **g).collect();
+        let mut parts: Vec<&mut AggregationStore> =
+            guards.iter_mut().map(|g| &mut g.store).collect();
         view.update(&mut parts);
         drop(parts);
         drop(guards);
@@ -485,10 +435,8 @@ fn wait_ready(fds: &mut [PollFd]) {
 /// [`kill`]: TelemetryServer::kill
 pub struct TelemetryServer {
     shared: Arc<Shared>,
-    senders: Vec<Sender<ShardJob>>,
     acceptor: Option<JoinHandle<()>>,
     io_workers: Vec<JoinHandle<()>>,
-    shard_workers: Vec<JoinHandle<()>>,
 }
 
 impl TelemetryServer {
@@ -507,82 +455,56 @@ impl TelemetryServer {
         // Recover (or freshly create) every shard partition. With no
         // WAL directory the stores start empty and nothing touches
         // disk.
-        let mut stores = Vec::with_capacity(cfg.shards);
-        let mut wals: Vec<Option<Wal>> = Vec::with_capacity(cfg.shards);
+        let mut shards = Vec::with_capacity(cfg.shards);
         let mut recovered = 0u64;
-        for shard in 0..cfg.shards {
-            match &cfg.wal_dir {
+        for index in 0..cfg.shards {
+            let shard = match &cfg.wal_dir {
                 Some(dir) => {
-                    let dir = PathBuf::from(dir);
-                    let (store, wal, replayed) = wal::recover_shard(&dir, cfg.node_id, shard)?;
+                    let (store, wal, replayed) =
+                        wal::recover_shard(Path::new(dir), cfg.node_id, index)?;
                     recovered += replayed;
-                    stores.push(Mutex::new(store));
-                    wals.push(Some(wal));
+                    Shard {
+                        store,
+                        wal: Some(wal),
+                    }
                 }
-                None => {
-                    stores.push(Mutex::new(AggregationStore::new()));
-                    wals.push(None);
-                }
-            }
+                None => Shard {
+                    store: AggregationStore::new(),
+                    wal: None,
+                },
+            };
+            shards.push(Mutex::new(shard));
         }
-
-        // An inbox per io worker, with a completion channel whose
-        // capacity covers every slot the shards can hold plus slack, so
-        // shard workers never stall on it.
-        let completion_cap = cfg.shards * cfg.queue_capacity + 64;
-        let mut inboxes = Vec::with_capacity(cfg.io_workers);
-        let mut completions = Vec::with_capacity(cfg.io_workers);
-        for _ in 0..cfg.io_workers {
-            let (done_tx, done_rx) = bounded(completion_cap);
-            inboxes.push(Inbox::new(done_tx)?);
-            completions.push(done_rx);
-        }
+        let inboxes = (0..cfg.io_workers)
+            .map(|_| Inbox::new())
+            .collect::<io::Result<Vec<_>>>()?;
 
         let shared = Arc::new(Shared {
             addr: local,
-            stores,
+            shards,
             view: Mutex::new(ReportView::new()),
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             connections: AtomicU64::new(0),
-            batches_accepted: AtomicU64::new(0),
-            nacks_sent: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
             batches_recovered: AtomicU64::new(recovered),
             controller: Mutex::new(FleetController::new()),
             inboxes,
         });
 
-        let mut senders = Vec::with_capacity(cfg.shards);
-        let mut shard_workers = Vec::with_capacity(cfg.shards);
-        for (shard, wal) in wals.into_iter().enumerate() {
-            let (tx, rx): (Sender<ShardJob>, Receiver<ShardJob>) = bounded(cfg.queue_capacity);
-            let shared_w = Arc::clone(&shared);
-            shard_workers.push(
-                thread::Builder::new()
-                    .name(format!("hd-telemetry-shard-{shard}"))
-                    .spawn(move || shard_worker(shard, rx, wal, shared_w))
-                    .expect("spawn shard worker"),
-            );
-            senders.push(tx);
-        }
-
-        let mut io_workers = Vec::with_capacity(cfg.io_workers);
-        for (index, done_rx) in completions.into_iter().enumerate() {
-            let worker = IoWorker {
-                index,
-                senders: senders.clone(),
-                shared: Arc::clone(&shared),
-                next_slot: 0,
-            };
-            io_workers.push(
+        let io_workers = (0..cfg.io_workers)
+            .map(|index| {
+                let worker = IoWorker {
+                    index,
+                    shared: Arc::clone(&shared),
+                };
                 thread::Builder::new()
                     .name(format!("hd-telemetry-io-{index}"))
-                    .spawn(move || worker.run(done_rx))
-                    .expect("spawn io worker"),
-            );
-        }
+                    .spawn(move || worker.run())
+                    .expect("spawn io worker")
+            })
+            .collect();
 
         let acceptor = {
             let shared_a = Arc::clone(&shared);
@@ -594,10 +516,8 @@ impl TelemetryServer {
 
         Ok(TelemetryServer {
             shared,
-            senders,
             acceptor: Some(acceptor),
             io_workers,
-            shard_workers,
         })
     }
 
@@ -614,13 +534,12 @@ impl TelemetryServer {
     /// Snapshot of the server counters.
     pub fn stats(&self) -> ServerStats {
         let mut ingest = IngestStats::default();
-        for store in &self.shared.stores {
-            ingest.merge(store.lock().expect("store lock").stats());
+        for shard in &self.shared.shards {
+            ingest.merge(shard.lock().expect("shard lock").store.stats());
         }
         ServerStats {
             connections: self.shared.connections.load(Ordering::Relaxed),
-            batches_accepted: self.shared.batches_accepted.load(Ordering::Relaxed),
-            nacks_sent: self.shared.nacks_sent.load(Ordering::Relaxed),
+            nacks_sent: 0,
             decode_errors: self.shared.decode_errors.load(Ordering::Relaxed),
             batches_recovered: self.shared.batches_recovered.load(Ordering::Relaxed),
             ingest,
@@ -639,65 +558,53 @@ impl TelemetryServer {
         self.shared.fold_stores().snapshot()
     }
 
-    /// Compacts every shard: snapshots the store, then truncates the
-    /// WAL. No-op (still `Ok`) without a WAL directory.
+    /// Compacts every shard on the calling thread: under the shard's
+    /// lock, snapshots the store, writes the snapshot durably, then
+    /// truncates the WAL. The lock is held throughout, so no append can
+    /// land between the snapshot and the truncation. No-op (still `Ok`)
+    /// without a WAL directory.
     pub fn compact(&self) -> Result<(), TelemetryError> {
-        let mut waits = Vec::with_capacity(self.senders.len());
-        for tx in &self.senders {
-            let (done_tx, done_rx) = mpsc::channel();
-            if tx.send(ShardJob::Compact { done: done_tx }).is_err() {
-                return Err(TelemetryError::Io("shard worker gone".to_string()));
-            }
-            waits.push(done_rx);
-        }
-        for rx in waits {
-            match rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => return Err(TelemetryError::Io(e)),
-                Err(_) => return Err(TelemetryError::Io("shard worker gone".to_string())),
+        for (index, shard) in self.shared.shards.iter().enumerate() {
+            let mut shard = shard.lock().expect("shard lock");
+            let Shard { store, wal } = &mut *shard;
+            if let Some(wal) = wal {
+                // The snapshot lands before the WAL reset, so a crash in
+                // between replays snapshot + stale records, which the
+                // snapshot's fingerprint set absorbs as duplicates.
+                let dir = wal.path().parent().unwrap_or(Path::new("."));
+                wal::write_snapshot(&wal::snapshot_path(dir, index), &store.snapshot())?;
+                wal.reset(self.shared.cfg.node_id, index)?;
             }
         }
         Ok(())
     }
 
     /// Simulates a crash: stops every thread as fast as possible
-    /// WITHOUT snapshotting, flushing queues gracefully, or notifying
-    /// clients. In-memory state is discarded; the WAL (if configured)
-    /// is all that survives — restarting over the same directory must
-    /// replay to the identical aggregate.
+    /// WITHOUT snapshotting or notifying clients. In-memory state is
+    /// discarded; the WAL (if configured) is all that survives —
+    /// restarting over the same directory must replay to the identical
+    /// aggregate.
     pub fn kill(mut self) {
         self.shared.stop(true);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.io_workers.drain(..) {
-            let _ = w.join();
-        }
-        self.senders.clear();
-        for w in self.shard_workers.drain(..) {
-            let _ = w.join();
-        }
+        self.join_threads();
     }
 
-    /// Waits for the acceptor, io workers, and shard workers to exit,
-    /// then returns the final stats. Requires a client to have sent
+    /// Waits for the acceptor and the io workers to exit, then returns
+    /// the final stats. Requires a client to have sent
     /// [`Request::Shutdown`] first; connections still open at that
     /// point must close before the io workers can drain.
     pub fn join(mut self) -> ServerStats {
+        self.join_threads();
+        self.stats()
+    }
+
+    fn join_threads(&mut self) {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         for w in self.io_workers.drain(..) {
             let _ = w.join();
         }
-        // Release the server's own queue handles; the shard workers
-        // exit once the last io-worker clone is gone and the queue is
-        // empty.
-        self.senders.clear();
-        for w in self.shard_workers.drain(..) {
-            let _ = w.join();
-        }
-        self.stats()
     }
 }
 
@@ -717,35 +624,22 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<Shared>) {
         let _ = stream.set_nodelay(true);
         shared.connections.fetch_add(1, Ordering::Relaxed);
         let inbox = &shared.inboxes[rr % shared.inboxes.len()];
-        inbox.conns.push(stream);
+        inbox.conns.lock().expect("inbox lock").push(stream);
         inbox.ring();
         rr = rr.wrapping_add(1);
     }
 }
 
-/// One queued response on a connection. Responses flush strictly in
-/// request order.
-struct PendingEntry {
-    response: Pending,
-    version: WireVersion,
-}
-
-enum Pending {
-    /// Waits for the shard completion of this slot.
-    Slot(u64),
-    Ready(Response),
-}
-
 struct Conn {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    /// Encoded responses, in request order, not yet taken by the socket.
     wbuf: Vec<u8>,
-    pending: VecDeque<PendingEntry>,
     /// Dialect of the most recent request (responses echo it).
     version: WireVersion,
     /// Stop reading (clean EOF or poisoned by a decode error).
     closed_read: bool,
-    /// Close the socket once everything queued has flushed.
+    /// Close the socket once every response has flushed.
     close_after_flush: bool,
     /// What the last `poll` reported for the socket.
     ready: c_short,
@@ -757,7 +651,6 @@ impl Conn {
             stream,
             rbuf: Vec::with_capacity(16 * 1024),
             wbuf: Vec::new(),
-            pending: VecDeque::new(),
             version: WireVersion::V2,
             closed_read: false,
             close_after_flush: false,
@@ -765,40 +658,17 @@ impl Conn {
         }
     }
 
-    fn push_ready(&mut self, response: Response) {
-        self.pending.push_back(PendingEntry {
-            response: Pending::Ready(response),
-            version: self.version,
-        });
-    }
-
-    fn push_waiting(&mut self, slot: u64) {
-        self.pending.push_back(PendingEntry {
-            response: Pending::Slot(slot),
-            version: self.version,
-        });
-    }
-
-    fn complete(&mut self, slot: u64, result: Result<IngestOutcome, String>) {
-        let waiting = self
-            .pending
-            .iter_mut()
-            .find(|e| matches!(e.response, Pending::Slot(s) if s == slot));
-        if let Some(entry) = waiting {
-            entry.response = Pending::Ready(match result {
-                Ok(outcome) => Response::Ack {
-                    fingerprint: outcome.fingerprint,
-                    duplicate: outcome.duplicate,
-                },
-                Err(e) => Response::Error(e),
-            });
-        }
+    /// Queues `response` behind the ones before it, in the dialect of
+    /// the request it answers.
+    fn respond(&mut self, response: &Response) {
+        self.wbuf
+            .extend_from_slice(&encode_frame_in(self.version, response));
     }
 
     /// Whether to read more requests: not after EOF, and not while the
-    /// peer leaves too many responses owed or untaken.
+    /// peer leaves too many response bytes untaken.
     fn wants_read(&self) -> bool {
-        !self.closed_read && self.pending.len() < MAX_PENDING && self.wbuf.len() < MAX_WBUF
+        !self.closed_read && self.wbuf.len() < MAX_WBUF
     }
 
     /// The `poll` events this connection waits for.
@@ -818,84 +688,62 @@ impl Conn {
 struct IoWorker {
     /// Which of `shared.inboxes` is this worker's.
     index: usize,
-    senders: Vec<Sender<ShardJob>>,
     shared: Arc<Shared>,
-    next_slot: u64,
 }
 
 impl IoWorker {
-    /// The multiplex loop: adopts new connections, applies shard
-    /// completions, serves every connection once, then blocks in `poll`
-    /// until a socket is ready or the doorbell rings.
-    fn run(mut self, done_rx: Receiver<Completion>) {
-        let shared = Arc::clone(&self.shared);
+    /// The multiplex loop: adopts new connections, serves every
+    /// connection once, then blocks in `poll` until a socket is ready or
+    /// the doorbell rings.
+    fn run(self) {
+        let shared = &*self.shared;
         let inbox = &shared.inboxes[self.index];
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut next_conn_id = 0u64;
+        let mut conns: Vec<Conn> = Vec::new();
         let mut scratch = [0u8; 64 * 1024];
         // The poll set: the doorbell, then one entry per connection in
-        // `ids` order.
+        // `conns` order.
         let mut fds: Vec<PollFd> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
         loop {
             if shared.killed.load(Ordering::SeqCst) {
                 return; // crash simulation: drop everything on the floor
             }
-            while let Some(stream) = inbox.conns.pop() {
-                conns.insert(next_conn_id, Conn::new(stream));
-                next_conn_id += 1;
-            }
-            while let Ok(done) = done_rx.try_recv() {
-                if let Some(conn) = conns.get_mut(&done.conn) {
-                    conn.complete(done.slot, done.result);
-                }
-            }
-            conns.retain(|&id, conn| self.serve(id, conn, &mut scratch));
-            if shared.shutdown.load(Ordering::SeqCst) && conns.is_empty() && inbox.conns.is_empty()
+            conns.extend(inbox.take_conns().into_iter().map(Conn::new));
+            conns.retain_mut(|conn| self.serve(conn, &mut scratch));
+            if shared.shutdown.load(Ordering::SeqCst)
+                && conns.is_empty()
+                && inbox.conns.lock().expect("inbox lock").is_empty()
             {
                 return;
             }
 
             fds.clear();
-            ids.clear();
             fds.push(PollFd {
                 fd: inbox.wake.as_raw_fd(),
                 events: POLLIN,
                 revents: 0,
             });
-            for (&id, conn) in &conns {
-                fds.push(PollFd {
-                    fd: conn.stream.as_raw_fd(),
-                    events: conn.interest(),
-                    revents: 0,
-                });
-                ids.push(id);
-            }
-            // Park. A shard worker queueing a completion after the
-            // re-check below finds the flag up and rings.
-            inbox.parked.store(true, Ordering::SeqCst);
-            if !done_rx.is_empty() || !inbox.conns.is_empty() {
-                inbox.parked.store(false, Ordering::SeqCst);
-                continue;
-            }
+            fds.extend(conns.iter().map(|conn| PollFd {
+                fd: conn.stream.as_raw_fd(),
+                events: conn.interest(),
+                revents: 0,
+            }));
+            // A hand-off after `take_conns` above rang the doorbell,
+            // so this returns at once.
             wait_ready(&mut fds);
-            inbox.parked.store(false, Ordering::SeqCst);
             if fds[0].revents != 0 {
                 inbox.silence();
             }
-            for (fd, id) in fds[1..].iter().zip(&ids) {
-                if let Some(conn) = conns.get_mut(id) {
-                    conn.ready = fd.revents;
-                }
+            for (fd, conn) in fds[1..].iter().zip(&mut conns) {
+                conn.ready = fd.revents;
             }
         }
     }
 
     /// One pass over a connection: reads once if `poll` reported it
-    /// readable and it may read, dispatches every complete frame, moves
-    /// the ready prefix of its responses into the write buffer and
-    /// writes what the socket takes. Returns whether to keep it.
-    fn serve(&mut self, id: u64, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+    /// readable and it may read, handles every complete frame, and
+    /// writes what the socket takes of the responses. Returns whether
+    /// to keep it.
+    fn serve(&self, conn: &mut Conn, scratch: &mut [u8]) -> bool {
         let ready = std::mem::take(&mut conn.ready);
         if ready & (POLLIN | POLL_GONE) != 0 && conn.wants_read() {
             match conn.stream.read(scratch) {
@@ -905,7 +753,7 @@ impl IoWorker {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&scratch[..n]);
-                    self.dispatch(id, conn);
+                    self.dispatch(conn);
                 }
                 Err(e) if is_transient(&e) => {}
                 Err(_) => return false,
@@ -916,16 +764,6 @@ impl IoWorker {
             return false;
         }
 
-        // Responses flush in request order: only the ready prefix moves.
-        while let Some(PendingEntry {
-            response: Pending::Ready(response),
-            version,
-        }) = conn.pending.front()
-        {
-            conn.wbuf
-                .extend_from_slice(&encode_frame_in(*version, response));
-            conn.pending.pop_front();
-        }
         if !conn.wbuf.is_empty() {
             match conn.stream.write(&conn.wbuf) {
                 Ok(0) => return false,
@@ -936,13 +774,13 @@ impl IoWorker {
                 Err(_) => return false,
             }
         }
-        !(conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty())
+        !(conn.close_after_flush && conn.wbuf.is_empty())
     }
 
     /// Decodes every complete frame in the read buffer and handles each.
-    fn dispatch(&mut self, id: u64, conn: &mut Conn) {
+    fn dispatch(&self, conn: &mut Conn) {
         // Fingerprint upload bodies straight off the wire while the
-        // payload bytes are still in hand — the shard worker then skips
+        // payload bytes are still in hand, so the apply skips
         // re-serializing the batch.
         let drained =
             drain_frames_with::<Request, _>(&mut conn.rbuf, |payload, req, version| match req {
@@ -953,87 +791,55 @@ impl IoWorker {
             Ok(requests) => {
                 for (request, version, fingerprint) in requests {
                     conn.version = version;
-                    self.handle_request(request, fingerprint, id, conn);
+                    self.handle_request(request, fingerprint, conn);
                 }
             }
             Err(err) => {
                 self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                conn.push_ready(Response::Error(err.to_string()));
+                conn.respond(&Response::Error(err.to_string()));
                 conn.closed_read = true;
                 conn.close_after_flush = true;
             }
         }
     }
 
-    fn handle_request(
-        &mut self,
-        request: Request,
-        wire_fingerprint: Option<u64>,
-        conn_id: u64,
-        conn: &mut Conn,
-    ) {
+    fn handle_request(&self, request: Request, wire_fingerprint: Option<u64>, conn: &mut Conn) {
         let shared = &*self.shared;
-        match request {
-            Request::Upload(batch) => {
-                let shard = shard_for(&batch.app, batch.device, self.senders.len());
-                let slot = self.next_slot;
-                self.next_slot += 1;
-                match self.senders[shard].try_send(ShardJob::Ingest {
-                    batch,
-                    fingerprint: wire_fingerprint,
-                    io: self.index,
-                    conn: conn_id,
-                    slot,
-                }) {
-                    Ok(()) => {
-                        shared.batches_accepted.fetch_add(1, Ordering::Relaxed);
-                        conn.push_waiting(slot);
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        shared.nacks_sent.fetch_add(1, Ordering::Relaxed);
-                        conn.push_ready(Response::Nack {
-                            retry_after_ms: shared.cfg.nack_retry_ms,
-                        });
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        conn.push_ready(Response::Error("shard worker gone".to_string()));
-                    }
-                }
-            }
-            Request::Query { top_n } => {
-                conn.push_ready(Response::Report(shared.report(top_n)));
-            }
-            Request::Export => {
-                let snapshot = shared.fold_stores().snapshot();
-                conn.push_ready(Response::State(snapshot));
-            }
+        let response = match request {
+            Request::Upload(batch) => match shared.apply(&batch, wire_fingerprint) {
+                Ok(outcome) => Response::Ack {
+                    fingerprint: outcome.fingerprint,
+                    duplicate: outcome.duplicate,
+                },
+                Err(e) => Response::Error(e),
+            },
+            Request::Query { top_n } => Response::Report(shared.report(top_n)),
+            Request::Export => Response::State(shared.fold_stores().snapshot()),
             Request::Hello { supported } => match WireVersion::negotiate(&supported) {
                 Some(version) => {
                     conn.version = version;
-                    conn.push_ready(Response::Welcome {
+                    Response::Welcome {
                         schema: version.tag().to_string(),
-                    });
+                    }
                 }
-                None => {
-                    conn.push_ready(Response::Error(format!(
-                        "no common dialect: server speaks {SUPPORTED_SCHEMAS:?}"
-                    )));
-                }
+                None => Response::Error(format!(
+                    "no common dialect: server speaks {SUPPORTED_SCHEMAS:?}"
+                )),
             },
-            Request::Control(creq) => {
-                let response = shared
+            Request::Control(creq) => Response::Control(
+                shared
                     .controller
                     .lock()
                     .expect("controller lock")
-                    .handle(creq);
-                conn.push_ready(Response::Control(response));
-            }
+                    .handle(creq),
+            ),
             Request::Shutdown => {
-                conn.push_ready(Response::Bye);
                 conn.close_after_flush = true;
                 shared.stop(false);
+                Response::Bye
             }
-        }
+        };
+        conn.respond(&response);
     }
 }
 
@@ -1043,77 +849,6 @@ fn is_transient(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
     )
-}
-
-fn shard_worker(shard: usize, rx: Receiver<ShardJob>, mut wal: Option<Wal>, shared: Arc<Shared>) {
-    let mut since_snapshot = 0u64;
-    while let Ok(job) = rx.recv() {
-        match job {
-            ShardJob::Ingest {
-                batch,
-                fingerprint,
-                io,
-                conn,
-                slot,
-            } => {
-                let fingerprint = fingerprint.unwrap_or_else(|| batch_fingerprint(&batch));
-                let mut store = shared.stores[shard].lock().expect("store lock");
-                let result = if store.contains(fingerprint) {
-                    Ok(store.ingest_prehashed(&batch, fingerprint))
-                } else {
-                    // WAL-append BEFORE the merge: a crash after the
-                    // append replays the batch; a crash before it loses
-                    // an un-ACKed batch the uploader will retry.
-                    match wal.as_mut().map(|w| w.append(fingerprint, &batch)) {
-                        Some(Err(e)) => Err(format!("wal append failed: {e}")),
-                        _ => {
-                            since_snapshot += 1;
-                            Ok(store.ingest_prehashed(&batch, fingerprint))
-                        }
-                    }
-                };
-                drop(store);
-                // The io worker may have dropped the connection; the
-                // apply above still counts.
-                let inbox = &shared.inboxes[io];
-                let _ = inbox.done.send(Completion { conn, slot, result });
-                inbox.ring_if_parked();
-
-                if let Some(w) = wal.as_mut() {
-                    if shared.cfg.snapshot_every > 0
-                        && since_snapshot >= shared.cfg.snapshot_every
-                        && compact_shard(shard, w, &shared).is_ok()
-                    {
-                        since_snapshot = 0;
-                    }
-                }
-            }
-            ShardJob::Compact { done } => {
-                let result = match wal.as_mut() {
-                    Some(w) => compact_shard(shard, w, &shared).map_err(|e| e.to_string()),
-                    None => Ok(()),
-                };
-                if result.is_ok() {
-                    since_snapshot = 0;
-                }
-                let _ = done.send(result);
-            }
-        }
-    }
-}
-
-/// Snapshot-then-truncate. The snapshot rename lands before the WAL
-/// reset, so a crash in between replays snapshot + stale records —
-/// which the snapshot's fingerprint set absorbs as duplicates.
-fn compact_shard(shard: usize, wal: &mut Wal, shared: &Shared) -> Result<(), TelemetryError> {
-    let snapshot = shared.stores[shard].lock().expect("store lock").snapshot();
-    let dir = wal
-        .path()
-        .parent()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    wal::write_snapshot(&wal::snapshot_path(&dir, shard), &snapshot)?;
-    wal.reset(shared.cfg.node_id, shard)
 }
 
 #[cfg(test)]
@@ -1228,8 +963,6 @@ mod tests {
         };
         let field = rejected_field(TelemetryServer::builder().shards(0).start());
         assert_eq!(field, "shards");
-        let field = rejected_field(TelemetryServer::builder().queue_capacity(0).start());
-        assert_eq!(field, "queue_capacity");
         let field = rejected_field(TelemetryServer::builder().io_workers(0).start());
         assert_eq!(field, "io_workers");
     }
@@ -1282,6 +1015,6 @@ mod tests {
         drop(stream);
         shutdown(addr);
         let stats = server.join();
-        assert_eq!(stats.batches_accepted, 8);
+        assert_eq!(stats.ingest.batches_applied, 8);
     }
 }

@@ -1,9 +1,11 @@
 //! Durable ingest: a per-shard append-only write-ahead log with
-//! periodic compacted snapshots.
+//! compacted snapshots.
 //!
 //! Every applied batch is framed into the shard's WAL **before** it is
 //! merged into the aggregation store, so a killed-and-restarted node
-//! replays to the identical aggregate. Record framing reuses the wire
+//! replays to the identical aggregate. Appends are written, not synced
+//! ([`Wal::append`]): "ACK ⇒ durable" holds against a process kill, not
+//! against a power loss. Record framing reuses the wire
 //! layer's canonical-JSON encoding and adds an integrity word:
 //!
 //! ```text
@@ -262,6 +264,11 @@ impl Wal {
         &self.path
     }
 
+    /// Writes one framed record. `File::flush()` is a no-op for a
+    /// `std::fs::File`: the record reaches the kernel, not the disk, so
+    /// an appended record survives a killed process but not a power
+    /// loss until group commit (a `sync_data` per shard a dispatch pass
+    /// touched, before that pass's ACKs are written) lands.
     fn write_record(&mut self, record: &WalRecord) -> Result<(), TelemetryError> {
         let frame = encode_record(record);
         self.file.write_all(&frame)?;
@@ -269,8 +276,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one applied batch. Called by the shard worker *before*
-    /// the batch is merged into the store.
+    /// Appends one applied batch. Called under the shard's lock by the
+    /// io worker applying the batch, *before* the batch is merged into
+    /// the store.
     pub fn append(&mut self, fingerprint: u64, batch: &UploadBatch) -> Result<(), TelemetryError> {
         self.write_record(&WalRecord::Batch(WalBatch {
             fingerprint,

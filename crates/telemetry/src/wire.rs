@@ -179,8 +179,10 @@ pub enum Response {
         /// Whether idempotent ingest absorbed it as a duplicate.
         duplicate: bool,
     },
-    /// The ingest queue is full; retry after backing off. The batch was
-    /// **not** applied.
+    /// The server shed the upload; retry after backing off. The batch
+    /// was **not** applied. This crate's server sends none (the io
+    /// worker that decodes an upload applies it), but the uploaders
+    /// still honour one, and perfbench's ACK check names it.
     Nack {
         /// Suggested client backoff, ms.
         retry_after_ms: u64,

@@ -1,16 +1,18 @@
 //! Durability edge cases pinned as regressions: torn tails drop
 //! cleanly, CRC corruption is a typed error (never a panic), compaction
-//! preserves replay byte-for-byte, and a killed-and-restarted server
-//! recovers the identical aggregate over the real TCP path.
+//! preserves replay byte-for-byte, even while uploads land, and a
+//! killed-and-restarted server recovers the identical aggregate over the
+//! real TCP path.
 
 use std::path::PathBuf;
+use std::thread;
 
 use hangdoctor::{HangBugReport, RootCause, RootKind};
 use hd_simrt::ActionUid;
 use hd_telemetry::wal::{recover_shard, snapshot_path, wal_path, write_snapshot, Wal};
 use hd_telemetry::{
-    batch_fingerprint, AggregationStore, TelemetryError, TelemetryItem, TelemetryServer,
-    UploadBatch, Uploader,
+    batch_fingerprint, AggregationStore, PipelinedUploader, TelemetryError, TelemetryItem,
+    TelemetryServer, UploadBatch, Uploader,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -136,7 +138,7 @@ fn snapshot_plus_wal_replay_equals_pure_wal_replay_byte_for_byte() {
     }
 
     // Compacted shard: snapshot after `split` batches, WAL holds the
-    // rest — exactly what `compact_shard` leaves behind.
+    // rest — exactly what `TelemetryServer::compact` leaves behind.
     let snap_dir = scratch("snap");
     {
         let mut store = AggregationStore::new();
@@ -242,6 +244,91 @@ fn killed_server_replays_its_wal_to_the_identical_aggregate() {
     assert_eq!(client.query(10).unwrap().to_json(), before);
     client.shutdown().unwrap();
     again.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compaction while both io workers append to both shards: every batch
+/// ACKed before the kill comes back after the restart, whether its
+/// record went into a snapshot or into the log after a reset.
+/// Compaction holds a shard's lock from the snapshot through the log
+/// reset, so no append can fall between them. Each batch is the only
+/// one from its device, so a lost batch shows in the report's device
+/// count.
+#[test]
+fn compaction_under_concurrent_ingest_loses_no_acked_batch() {
+    const CONNECTIONS: u32 = 2;
+    const BATCHES: u32 = 1000;
+    const WINDOW: usize = 16;
+    let dir = scratch("concurrent");
+    let wal_dir = dir.to_string_lossy().to_string();
+    let start = || {
+        TelemetryServer::builder()
+            .addr("127.0.0.1:0")
+            .shards(2)
+            .io_workers(2)
+            .wal_dir(wal_dir.clone())
+            .start()
+            .unwrap()
+    };
+    let batches: Vec<Vec<UploadBatch>> = (0..CONNECTIONS)
+        .map(|c| {
+            (0..BATCHES)
+                .map(|i| batch("k9mail", c * BATCHES + i + 1, 0, 1 + u64::from(i % 3)))
+                .collect()
+        })
+        .collect();
+
+    let server = start();
+    let addr = server.local_addr();
+    let mut compactions = 0u32;
+    thread::scope(|scope| {
+        // Two connections, which the acceptor hands to the two io
+        // workers in turn.
+        let uploaders: Vec<_> = batches
+            .iter()
+            .map(|mine| {
+                scope.spawn(move || {
+                    let mut up = PipelinedUploader::connect(addr).unwrap();
+                    for b in mine {
+                        up.send(b).unwrap();
+                        if up.inflight() == WINDOW {
+                            assert!(!up.recv().unwrap().duplicate);
+                        }
+                    }
+                    while up.inflight() > 0 {
+                        assert!(!up.recv().unwrap().duplicate);
+                    }
+                })
+            })
+            .collect();
+        loop {
+            server.compact().unwrap();
+            compactions += 1;
+            if uploaders.iter().all(|h| h.is_finished()) {
+                break;
+            }
+        }
+        for h in uploaders {
+            h.join().unwrap();
+        }
+    });
+    server.kill();
+
+    let mut expected = AggregationStore::new();
+    for b in batches.iter().flatten() {
+        expected.ingest(b);
+    }
+    let revived = start();
+    let mut client = Uploader::plain(revived.local_addr());
+    let served = client.query(10).unwrap();
+    assert_eq!(
+        served.devices,
+        (CONNECTIONS * BATCHES) as usize,
+        "ACKed batches lost across {compactions} compactions"
+    );
+    assert_eq!(served.to_json(), expected.report(10).to_json());
+    client.shutdown().unwrap();
+    revived.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
