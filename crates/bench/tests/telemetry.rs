@@ -8,12 +8,14 @@
 //! networked report is pinned by a golden fixture.
 
 use hangdoctor::HangDoctorConfig;
-use hd_appmodel::corpus::{table1, table5};
+use hd_appmodel::corpus::{async_hang_apps, full_corpus, table1, table5};
 use hd_bench::differential::DifferentialReport;
-use hd_bench::telemetry::{cluster_differential, loopback_differential};
+use hd_bench::telemetry::{batch_of, cluster_differential, loopback_differential};
 use hd_faults::{FaultConfig, NetFaultConfig, NetFaultTally, NodeCrashPlan};
 use hd_fleet::{run_fleet_with_reports, DeviceProfile, FleetReport, FleetSpec};
-use hd_telemetry::TelemetryReport;
+use hd_telemetry::wal::{encode_batch_record, encode_record, WalBatch};
+use hd_telemetry::wire::drain_requests;
+use hd_telemetry::{batch_fingerprint, encode_frame, fnv1a, Request, TelemetryReport, WalRecord};
 
 fn spec(root_seed: u64, faults: FaultConfig) -> FleetSpec {
     FleetSpec {
@@ -76,6 +78,40 @@ fn clean_loopback_matches_in_process_merge_byte_for_byte() {
 /// feeding it — changed. Regenerate (only when a deliberate behavior
 /// change lands) with `GOLDEN_REGEN=1 cargo test -p hd-bench --test
 /// telemetry`.
+/// The server logs each upload by splicing its wire bytes into a WAL
+/// record. For every device upload of the benchmark's fleet-study
+/// fleet (the study corpus plus the async apps, two devices each, seed
+/// 42), the bytes the server's read path hands on are the batch's
+/// canonical JSON, their fingerprint is the batch's, and the spliced
+/// record is byte for byte the encoded one.
+#[test]
+fn spliced_wal_records_equal_encoded_ones_for_every_fleet_upload() {
+    let mut apps = full_corpus(42);
+    apps.extend(async_hang_apps());
+    let spec = FleetSpec {
+        apps,
+        ..FleetSpec::study(2, 2, 42)
+    };
+    let (_, jobs) = run_fleet_with_reports(&spec);
+    assert_eq!(jobs.len(), spec.jobs());
+    for job in &jobs {
+        let batch = batch_of(job);
+        let mut frame = encode_frame(&Request::Upload(batch.clone()));
+        let mut wire = None;
+        drain_requests(&mut frame, |_, _, json| wire = json.map(<[u8]>::to_vec)).unwrap();
+        let json = wire.expect("our own upload frames are canonical");
+        let fingerprint = fnv1a(&json);
+        assert_eq!(fingerprint, batch_fingerprint(&batch));
+        let encoded = encode_record(&WalRecord::Batch(WalBatch { fingerprint, batch }));
+        assert_eq!(
+            encode_batch_record(fingerprint, &json),
+            encoded,
+            "{}",
+            job.app
+        );
+    }
+}
+
 #[test]
 fn table1_aggregation_matches_checked_in_fixture() {
     const FIXTURE: &str = include_str!("../../telemetry/tests/fixtures/telemetry_table1.json");

@@ -7,7 +7,7 @@
 //!                 │  then rings that worker's doorbell
 //!                 ▼
 //!   io worker: blocks in poll(2) on its sockets + its doorbell;
-//!              readable → batch frame decode → handle each request:
+//!              readable → decode each frame and handle it at once:
 //!              an upload locks shard fnv(app, device) % shards,
 //!              WAL-appends and merges, and its ACK goes straight
 //!              into the connection's write buffer
@@ -17,12 +17,13 @@
 //! nonblocking sockets. A worker sleeps in `poll` until one of its
 //! sockets is ready or its **doorbell** rings — a byte on a Unix socket
 //! pair whose read end sits in the poll set. Readable sockets are read,
-//! *every* complete frame is carved out in one pass ([`drain_frames`]),
-//! and each request is handled to the end before the next: an upload is
-//! applied under its shard's lock by the worker that decoded it, so
-//! every response is ready as soon as its request is handled. Pipelined
-//! clients keep dozens of batches in flight on one connection, and an
-//! upload wakes one thread. An idle server makes no wake-ups at all.
+//! *every* complete frame is carved out in one pass ([`drain_requests`]),
+//! and each request is handled to the end as it decodes, before the
+//! next: an upload is applied under its shard's lock by the worker that
+//! decoded it, so every response is ready as soon as its request is
+//! handled. Pipelined clients keep dozens of batches in flight on one
+//! connection, and an upload wakes one thread. An idle server makes no
+//! wake-ups at all.
 //!
 //! The doorbell rings when another thread has handed the worker
 //! something: the acceptor after each new connection, and `Shutdown`
@@ -58,7 +59,11 @@
 //! * **Durability.** With a WAL directory configured, every batch is
 //!   appended to the shard's log *before* it merges, under the same
 //!   lock, so kill-and-restart replays to the identical aggregate
-//!   (`tests/wal.rs`, and hd-bench's cluster differential).
+//!   (`tests/wal.rs`, and hd-bench's cluster differential). The record
+//!   is spliced around the batch's JSON as it arrived when the frame was
+//!   canonical ([`wal::encode_batch_record`]); the fingerprint hashes
+//!   the same bytes, and only a non-canonical frame encodes the batch,
+//!   once, for both.
 //!
 //! The server never sheds an upload: there is no queue to fill. A
 //! [`Response::Nack`] stays in the protocol, and the uploaders still
@@ -79,12 +84,11 @@ use serde::{Deserialize, Serialize};
 use hd_control::FleetController;
 
 use crate::error::TelemetryError;
-use crate::fingerprint::{batch_fingerprint, shard_for};
+use crate::fingerprint::{fnv1a, shard_for};
 use crate::store::{AggregationStore, IngestOutcome, IngestStats, ReportView, StoreSnapshot};
 use crate::wal::{self, Wal};
 use crate::wire::{
-    drain_frames_with, encode_frame_in, upload_fingerprint_from_payload, Request, Response,
-    UploadBatch, WireVersion, SUPPORTED_SCHEMAS,
+    drain_requests, encode_frame_in, Request, Response, UploadBatch, WireVersion, SUPPORTED_SCHEMAS,
 };
 
 /// Server tuning knobs. Construct via [`TelemetryServer::builder`],
@@ -308,14 +312,23 @@ impl Shared {
     /// Applies one upload on the calling thread: under its shard's
     /// lock, a batch the store has not seen is WAL-appended, then
     /// merged; a duplicate is absorbed without touching the log.
-    /// `fingerprint` is the one recovered from the wire bytes when the
-    /// frame was canonical; `None` re-serializes the batch.
+    /// `wire_json` is the batch's JSON as it arrived, when the frame was
+    /// canonical; `None` encodes the batch. The fingerprint hashes those
+    /// bytes and the log record is spliced around them.
     fn apply(
         &self,
         batch: &UploadBatch,
-        fingerprint: Option<u64>,
+        wire_json: Option<&[u8]>,
     ) -> Result<IngestOutcome, String> {
-        let fingerprint = fingerprint.unwrap_or_else(|| batch_fingerprint(batch));
+        let encoded;
+        let json = match wire_json {
+            Some(json) => json,
+            None => {
+                encoded = serde_json::to_string(batch).expect("batch serializes");
+                encoded.as_bytes()
+            }
+        };
+        let fingerprint = fnv1a(json);
         let index = shard_for(&batch.app, batch.device, self.shards.len());
         let mut shard = self.shards[index].lock().expect("shard lock");
         let Shard { store, wal } = &mut *shard;
@@ -324,7 +337,7 @@ impl Shared {
             // replays the batch; a crash before it loses an un-ACKed
             // batch the uploader will retry.
             if let Some(wal) = wal {
-                wal.append(fingerprint, batch)
+                wal.append_json(fingerprint, json)
                     .map_err(|e| format!("wal append failed: {e}"))?;
             }
         }
@@ -777,36 +790,29 @@ impl IoWorker {
         !(conn.close_after_flush && conn.wbuf.is_empty())
     }
 
-    /// Decodes every complete frame in the read buffer and handles each.
+    /// Decodes every complete frame in the read buffer and handles each
+    /// as it decodes, while an upload's wire bytes are still in hand:
+    /// the apply fingerprints and logs them instead of re-encoding the
+    /// batch.
     fn dispatch(&self, conn: &mut Conn) {
-        // Fingerprint upload bodies straight off the wire while the
-        // payload bytes are still in hand, so the apply skips
-        // re-serializing the batch.
-        let drained =
-            drain_frames_with::<Request, _>(&mut conn.rbuf, |payload, req, version| match req {
-                Request::Upload(_) => upload_fingerprint_from_payload(payload, version),
-                _ => None,
-            });
-        match drained {
-            Ok(requests) => {
-                for (request, version, fingerprint) in requests {
-                    conn.version = version;
-                    self.handle_request(request, fingerprint, conn);
-                }
-            }
-            Err(err) => {
-                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                conn.respond(&Response::Error(err.to_string()));
-                conn.closed_read = true;
-                conn.close_after_flush = true;
-            }
+        let mut rbuf = std::mem::take(&mut conn.rbuf);
+        let drained = drain_requests(&mut rbuf, |request, version, batch_json| {
+            conn.version = version;
+            self.handle_request(request, batch_json, conn);
+        });
+        conn.rbuf = rbuf;
+        if let Err(err) = drained {
+            self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+            conn.respond(&Response::Error(err.to_string()));
+            conn.closed_read = true;
+            conn.close_after_flush = true;
         }
     }
 
-    fn handle_request(&self, request: Request, wire_fingerprint: Option<u64>, conn: &mut Conn) {
+    fn handle_request(&self, request: Request, batch_json: Option<&[u8]>, conn: &mut Conn) {
         let shared = &*self.shared;
         let response = match request {
-            Request::Upload(batch) => match shared.apply(&batch, wire_fingerprint) {
+            Request::Upload(batch) => match shared.apply(&batch, batch_json) {
                 Ok(outcome) => Response::Ack {
                     fingerprint: outcome.fingerprint,
                     duplicate: outcome.duplicate,

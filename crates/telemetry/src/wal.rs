@@ -5,13 +5,13 @@
 //! merged into the aggregation store, so a killed-and-restarted node
 //! replays to the identical aggregate. Appends are written, not synced
 //! ([`Wal::append`]): "ACK ⇒ durable" holds against a process kill, not
-//! against a power loss. Record framing reuses the wire
-//! layer's canonical-JSON encoding and adds an integrity word:
+//! against a power loss. A record is a JSON payload plus an integrity
+//! word:
 //!
 //! ```text
-//! +------+----------------+---------------+------------------------+
-//! | HDWL | u32 BE length  | u32 BE CRC32  | canonical JSON payload |
-//! +------+----------------+---------------+------------------------+
+//! +------+----------------+---------------+--------------+
+//! | HDWL | u32 BE length  | u32 BE CRC32  | JSON payload |
+//! +------+----------------+---------------+--------------+
 //! ```
 //!
 //! The first record of every file is a [`WalHeader`] carrying the WAL
@@ -20,6 +20,18 @@
 //! fingerprint the live ingest deduplicated it under, so replay applies
 //! exactly the fingerprints the original run did without
 //! re-serializing a byte.
+//!
+//! A batch record is spliced around the batch's JSON
+//! ([`encode_batch_record`]): `{"Batch":{"fingerprint":N,"batch":` +
+//! the batch bytes + `}}`, byte for byte what encoding the
+//! [`WalRecord`] writes when the bytes are the batch's canonical JSON.
+//! The server splices the bytes the batch arrived in, which are
+//! canonical for every upload our own encoder wrote; a batch sent with
+//! non-canonical JSON inside a canonical envelope (see
+//! [`upload_fingerprint_from_payload`]) is logged as it arrived, and
+//! replays all the same.
+//!
+//! [`upload_fingerprint_from_payload`]: crate::wire::upload_fingerprint_from_payload
 //!
 //! Failure semantics (pinned by `tests/wal.rs`):
 //!
@@ -132,16 +144,61 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// A record buffer: magic, then room for the length and CRC that
+/// [`seal`] fills in once the payload behind them is written.
+fn unsealed(payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + payload_len);
+    out.extend_from_slice(&WAL_MAGIC);
+    out.extend_from_slice(&[0; 8]);
+    out
+}
+
+/// Fills in the length and CRC of the payload behind an [`unsealed`]
+/// head.
+fn seal(mut record: Vec<u8>) -> Vec<u8> {
+    let len = (record.len() - 12) as u32;
+    let crc = crc32(&record[12..]);
+    record[4..8].copy_from_slice(&len.to_be_bytes());
+    record[8..12].copy_from_slice(&crc.to_be_bytes());
+    record
+}
+
+/// Frames one payload: magic, length, CRC, the payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = unsealed(payload.len());
+    out.extend_from_slice(payload);
+    seal(out)
+}
+
 /// Frames one record: magic, length, CRC, canonical-JSON payload.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let json = serde_json::to_string(record).expect("WAL record serializes");
-    let payload = json.as_bytes();
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
-    out
+    frame(
+        serde_json::to_string(record)
+            .expect("WAL record serializes")
+            .as_bytes(),
+    )
+}
+
+/// What precedes the fingerprint in a batch record's payload.
+const BATCH_HEAD: &str = "{\"Batch\":{\"fingerprint\":";
+/// What sits between the fingerprint and the batch.
+const BATCH_BODY: &str = ",\"batch\":";
+/// What follows the batch.
+const BATCH_TAIL: &str = "}}";
+
+/// Frames the record of one applied batch around the batch's JSON,
+/// taken as it is: `{"Batch":{"fingerprint":N,"batch":<batch_json>}}`.
+/// When `batch_json` is the batch's canonical JSON this is byte for
+/// byte `encode_record(&WalRecord::Batch(..))`, with no clone and no
+/// re-encode of the batch.
+pub fn encode_batch_record(fingerprint: u64, batch_json: &[u8]) -> Vec<u8> {
+    let mut out = unsealed(BATCH_HEAD.len() + 20 + BATCH_BODY.len() + batch_json.len() + 2);
+    out.extend_from_slice(BATCH_HEAD.as_bytes());
+    out.extend_from_slice(fingerprint.to_string().as_bytes());
+    out.extend_from_slice(BATCH_BODY.as_bytes());
+    out.extend_from_slice(batch_json);
+    out.extend_from_slice(BATCH_TAIL.as_bytes());
+    seal(out)
 }
 
 /// Scans a WAL byte image into its records.
@@ -250,11 +307,7 @@ impl Wal {
             file,
         };
         if replay.header.is_none() {
-            wal.write_record(&WalRecord::Header(WalHeader {
-                schema: WAL_SCHEMA.to_string(),
-                node,
-                shard,
-            }))?;
+            wal.write_header(node, shard)?;
         }
         Ok((wal, replay))
     }
@@ -269,21 +322,29 @@ impl Wal {
     /// an appended record survives a killed process but not a power
     /// loss until group commit (a `sync_data` per shard a dispatch pass
     /// touched, before that pass's ACKs are written) lands.
-    fn write_record(&mut self, record: &WalRecord) -> Result<(), TelemetryError> {
-        let frame = encode_record(record);
-        self.file.write_all(&frame)?;
+    fn write_record(&mut self, frame: &[u8]) -> Result<(), TelemetryError> {
+        self.file.write_all(frame)?;
         self.file.flush()?;
         Ok(())
     }
 
-    /// Appends one applied batch. Called under the shard's lock by the
-    /// io worker applying the batch, *before* the batch is merged into
-    /// the store.
+    /// Appends one applied batch, encoding it once
+    /// ([`Wal::append_json`]).
     pub fn append(&mut self, fingerprint: u64, batch: &UploadBatch) -> Result<(), TelemetryError> {
-        self.write_record(&WalRecord::Batch(WalBatch {
-            fingerprint,
-            batch: batch.clone(),
-        }))
+        let json = serde_json::to_string(batch).expect("batch serializes");
+        self.append_json(fingerprint, json.as_bytes())
+    }
+
+    /// Appends one applied batch given its JSON, spliced into the
+    /// record as it is ([`encode_batch_record`]). The server calls this
+    /// under the shard's lock, with the bytes the batch arrived in,
+    /// *before* the batch is merged into the store.
+    pub fn append_json(
+        &mut self,
+        fingerprint: u64,
+        batch_json: &[u8],
+    ) -> Result<(), TelemetryError> {
+        self.write_record(&encode_batch_record(fingerprint, batch_json))
     }
 
     /// Compaction: truncates the log back to a fresh header. Called
@@ -293,11 +354,15 @@ impl Wal {
     pub fn reset(&mut self, node: u64, shard: usize) -> Result<(), TelemetryError> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
-        self.write_record(&WalRecord::Header(WalHeader {
+        self.write_header(node, shard)
+    }
+
+    fn write_header(&mut self, node: u64, shard: usize) -> Result<(), TelemetryError> {
+        self.write_record(&encode_record(&WalRecord::Header(WalHeader {
             schema: WAL_SCHEMA.to_string(),
             node,
             shard,
-        }))
+        })))
     }
 }
 
@@ -312,12 +377,7 @@ pub fn write_snapshot(path: &Path, snapshot: &StoreSnapshot) -> Result<(), Telem
     };
     std::fs::create_dir_all(dir)?;
     let json = serde_json::to_string(snapshot).expect("snapshot serializes");
-    let payload = json.as_bytes();
-    let mut framed = Vec::with_capacity(12 + payload.len());
-    framed.extend_from_slice(&WAL_MAGIC);
-    framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    framed.extend_from_slice(&crc32(payload).to_be_bytes());
-    framed.extend_from_slice(payload);
+    let framed = frame(json.as_bytes());
     let tmp = path.with_extension("snap.tmp");
     let mut file = File::create(&tmp)?;
     file.write_all(&framed)?;

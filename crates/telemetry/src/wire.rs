@@ -21,14 +21,23 @@
 //! one. All decode failures are typed [`FrameError`]s — a truncated,
 //! corrupt, or oversized frame never panics the server.
 //!
-//! Encoding is canonical: the JSON renderer is deterministic (struct
+//! Encoding is canonical: the JSON writer is deterministic (struct
 //! fields in declaration order, map keys sorted), so
 //! `encode(decode(encode(x))) == encode(x)` byte-for-byte. The ingest
 //! fingerprints of `fingerprint.rs` rely on exactly this property, and
 //! they hash the *batch*, not the envelope.
+//!
+//! Neither direction builds a tree. Encoding writes the envelope's
+//! bytes around the body's JSON; decoding reads the envelope's keys as
+//! they come and the body straight into its type. The server's read
+//! path ([`drain_requests`]) also hands on an upload's batch JSON as it
+//! arrived, when the frame is in canonical envelope form, so the batch
+//! is fingerprinted and WAL-logged from its wire bytes, never
+//! re-encoded.
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use hangdoctor::{DeviceSnapshot, HangBugReport};
 use hd_control::{ControlRequest, ControlResponse, CONTROL_SCHEMA};
@@ -254,19 +263,12 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// The JSON envelope inside every frame. Decoding reads it; encoding
-/// writes its bytes around the body ([`encode_frame_in`]). Concrete over
-/// [`serde::Value`] because the vendored derive shim rejects generics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct Envelope {
-    schema: String,
-    body: serde::Value,
-}
-
 /// What precedes the schema tag in an encoded envelope.
 const ENVELOPE_HEAD: &[u8] = b"{\"schema\":\"";
 /// What sits between the schema tag and the body in an encoded envelope.
 const ENVELOPE_BODY: &[u8] = b"\",\"body\":";
+/// What precedes the batch in the body of an encoded `Upload` request.
+const UPLOAD_HEAD: &[u8] = b"{\"Upload\":";
 
 /// Encodes `body` into a complete frame (magic + length + envelope) in
 /// the current dialect.
@@ -276,9 +278,8 @@ pub fn encode_frame<T: Serialize>(body: &T) -> Vec<u8> {
 
 /// Encodes `body` into a complete frame in an explicit dialect — the
 /// server answers each connection in the dialect it was addressed in.
-/// The envelope is written around the body's canonical JSON, byte for
-/// byte what rendering the `{schema, body}` envelope decoding reads
-/// gives (no tag needs escaping).
+/// The envelope `{"schema":"<tag>","body":<body>}` is written around
+/// the body's canonical JSON (no tag needs escaping).
 pub fn encode_frame_in<T: Serialize>(version: WireVersion, body: &T) -> Vec<u8> {
     let body = serde_json::to_string(body).expect("body serializes");
     let tag = version.tag().as_bytes();
@@ -301,15 +302,66 @@ pub fn encode_frame_in<T: Serialize>(version: WireVersion, body: &T) -> Vec<u8> 
 pub fn decode_payload_versioned<T: Deserialize>(
     payload: &[u8],
 ) -> Result<(T, WireVersion), FrameError> {
+    decode_envelope(payload).map(|(body, version, _)| (body, version))
+}
+
+/// Decodes a frame payload's `{"schema": ..., "body": ...}` envelope
+/// without a tree: it reads the keys as they come (the first of two
+/// duplicates wins, unknown keys are skipped) and the body straight
+/// into `T` once the tag is known to be supported. A body ahead of the
+/// tag is checked, then decoded when the tag is in. An unsupported tag
+/// is [`FrameError::Schema`] only when the envelope is otherwise
+/// well-formed JSON, and an absent body reads as `null`. Also returns
+/// where the body's JSON sits in the payload.
+fn decode_envelope<T: Deserialize>(
+    payload: &[u8],
+) -> Result<(T, WireVersion, Range<usize>), FrameError> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| FrameError::Json(format!("invalid UTF-8: {e}")))?;
-    let envelope: Envelope =
-        serde_json::from_str(text).map_err(|e| FrameError::Json(e.to_string()))?;
-    let Some(version) = WireVersion::from_tag(&envelope.schema) else {
-        return Err(FrameError::Schema(envelope.schema));
+    let json = |e: serde::Error| FrameError::Json(e.to_string());
+    let mut r = serde::Reader::new(text);
+    // The tag: the dialect when supported, the tag itself when not.
+    let mut schema: Option<Result<WireVersion, String>> = None;
+    // The body, unless it came ahead of a supported tag, and its span.
+    let mut body: Option<(Option<T>, Range<usize>)> = None;
+    r.begin_object().map_err(json)?;
+    while let Some(key) = r.next_key().map_err(json)? {
+        match &*key {
+            "schema" if schema.is_none() => {
+                let tag = r.string().map_err(json)?;
+                schema = Some(WireVersion::from_tag(&tag).ok_or_else(|| tag.into_owned()));
+            }
+            "body" if body.is_none() => {
+                // The body's span starts at its first character.
+                r.peek();
+                let start = r.offset();
+                let value = match schema {
+                    Some(Ok(_)) => Some(T::deserialize(&mut r).map_err(json)?),
+                    _ => {
+                        r.skip_value().map_err(json)?;
+                        None
+                    }
+                };
+                body = Some((value, start..r.offset()));
+            }
+            _ => r.skip_value().map_err(json)?,
+        }
+    }
+    r.end().map_err(json)?;
+    let version = match schema {
+        Some(Ok(version)) => version,
+        Some(Err(tag)) => return Err(FrameError::Schema(tag)),
+        None => return Err(FrameError::Json("missing field `schema`".to_string())),
     };
-    let body = T::from_value(&envelope.body).map_err(|e| FrameError::Json(e.to_string()))?;
-    Ok((body, version))
+    let (body, span) = match body {
+        Some((Some(body), span)) => (body, span),
+        Some((None, span)) => (
+            serde_json::from_str(&text[span.clone()]).map_err(json)?,
+            span,
+        ),
+        None => (serde_json::from_str("null").map_err(json)?, 0..0),
+    };
+    Ok((body, version, span))
 }
 
 /// Decodes the JSON payload of a frame, discarding the dialect.
@@ -403,92 +455,135 @@ fn read_exact_counted(r: &mut impl Read, buf: &mut [u8], needed: usize) -> Resul
     Ok(())
 }
 
-/// Incremental frame extractor for the server's nonblocking read path:
-/// carves complete frames out of `buf`, leaving any trailing partial
-/// frame in place, and returns the decoded bodies with their dialects.
+/// Carves every complete frame out of the front of `buf`, in order,
+/// and hands each payload to `each`, leaving a trailing partial frame
+/// in place.
 ///
 /// A header-level violation (bad magic, oversize) poisons the stream —
-/// the caller should answer with an error and close — whereas an
-/// incomplete tail is normal and simply waits for more bytes.
-pub fn drain_frames<T: Deserialize>(
+/// the caller should answer with an error and close — and stays in
+/// `buf`; a payload `each` rejects is consumed with the frames before
+/// it. An incomplete tail is normal and simply waits for more bytes.
+fn carve(
     buf: &mut Vec<u8>,
-) -> Result<Vec<(T, WireVersion)>, FrameError> {
-    let frames = drain_frames_with(buf, |_, _, _| ())?;
-    Ok(frames.into_iter().map(|(body, v, ())| (body, v)).collect())
-}
-
-/// [`drain_frames`] with a per-frame hook over the raw payload bytes,
-/// invoked before the payload is dropped. The ingest path uses it to
-/// fingerprint upload bodies straight off the wire.
-pub fn drain_frames_with<T: Deserialize, A>(
-    buf: &mut Vec<u8>,
-    mut annotate: impl FnMut(&[u8], &T, WireVersion) -> A,
-) -> Result<Vec<(T, WireVersion, A)>, FrameError> {
-    let mut out = Vec::new();
+    mut each: impl FnMut(&[u8]) -> Result<(), FrameError>,
+) -> Result<(), FrameError> {
     let mut consumed = 0usize;
-    loop {
+    let result = loop {
         let rest = &buf[consumed..];
         if rest.len() < 8 {
-            break;
+            break Ok(());
         }
         let magic: [u8; 4] = rest[0..4].try_into().expect("4 bytes");
         if magic != MAGIC {
-            buf.drain(..consumed);
-            return Err(FrameError::BadMagic(magic));
+            break Err(FrameError::BadMagic(magic));
         }
         let len = u32::from_be_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
         if len > MAX_FRAME {
-            buf.drain(..consumed);
-            return Err(FrameError::TooLarge {
+            break Err(FrameError::TooLarge {
                 len,
                 max: MAX_FRAME,
             });
         }
         if rest.len() < 8 + len {
-            break;
+            break Ok(());
         }
-        match decode_payload_versioned(&rest[8..8 + len]) {
-            Ok((body, version)) => {
-                let ann = annotate(&rest[8..8 + len], &body, version);
-                out.push((body, version, ann));
-            }
-            Err(e) => {
-                buf.drain(..consumed + 8 + len);
-                return Err(e);
-            }
-        }
+        let handled = each(&rest[8..8 + len]);
         consumed += 8 + len;
-    }
+        if let Err(e) = handled {
+            break Err(e);
+        }
+    };
     buf.drain(..consumed);
+    result
+}
+
+/// Incremental frame extractor for a nonblocking read path: carves
+/// complete frames out of `buf`, leaving any trailing partial frame in
+/// place, and returns the decoded bodies with their dialects. On a
+/// malformed frame it returns the error alone ([`carve`] says what
+/// stays in `buf`).
+pub fn drain_frames<T: Deserialize>(
+    buf: &mut Vec<u8>,
+) -> Result<Vec<(T, WireVersion)>, FrameError> {
+    let mut out = Vec::new();
+    carve(buf, |payload| {
+        out.push(decode_payload_versioned(payload)?);
+        Ok(())
+    })?;
     Ok(out)
 }
 
+/// The server's read path: [`drain_frames`] over requests that hands
+/// each one to `handle` as soon as it decodes, with its dialect and,
+/// for an upload in canonical envelope form, its batch's JSON exactly
+/// as it arrived (see [`upload_fingerprint_from_payload`]). Requests
+/// ahead of a malformed frame are handled before the error returns.
+pub fn drain_requests(
+    buf: &mut Vec<u8>,
+    mut handle: impl FnMut(Request, WireVersion, Option<&[u8]>),
+) -> Result<(), FrameError> {
+    carve(buf, |payload| {
+        let (request, version, body) = decode_envelope::<Request>(payload)?;
+        // A decoded Upload's body holds exactly one batch value, so the
+        // braces of a canonical one enclose nothing else.
+        let batch = match request {
+            Request::Upload(_) => canonical_batch(payload, version, body),
+            _ => None,
+        };
+        handle(request, version, batch.map(|b| &payload[b]));
+        Ok(())
+    })
+}
+
+/// The span of the batch in an upload payload in canonical envelope
+/// form, `{"schema":"<tag>","body":{"Upload":<batch>}}` and no byte
+/// more, given the span of its body. The caller vouches that the body
+/// is one `{"Upload": ...}` object.
+fn canonical_batch(
+    payload: &[u8],
+    version: WireVersion,
+    body: Range<usize>,
+) -> Option<Range<usize>> {
+    let tag = version.tag().as_bytes();
+    let tag_end = ENVELOPE_HEAD.len() + tag.len();
+    let envelope = payload.get(..ENVELOPE_HEAD.len()) == Some(ENVELOPE_HEAD)
+        && payload.get(ENVELOPE_HEAD.len()..tag_end) == Some(tag)
+        && payload.get(tag_end..body.start) == Some(ENVELOPE_BODY)
+        && payload.get(body.end..) == Some(b"}".as_slice());
+    let batch = payload
+        .get(body.clone())?
+        .strip_prefix(UPLOAD_HEAD)?
+        .strip_suffix(b"}")?;
+    let braced = batch.first() == Some(&b'{') && batch.last() == Some(&b'}');
+    (envelope && braced).then_some(body.start + UPLOAD_HEAD.len()..body.end - 1)
+}
+
 /// Recovers the ingest fingerprint of an `Upload` request straight from
-/// its wire payload, without re-serializing the decoded batch.
+/// its wire payload, without re-serializing the decoded batch: FNV-1a
+/// over the batch's bytes as they arrived, when the payload is in
+/// canonical envelope form (`{"schema":"<tag>","body":{"Upload":<batch>}}`
+/// exactly). Returns `None` for any other payload (e.g. a foreign client
+/// inserting whitespace in the envelope), and the caller falls back to
+/// encoding the batch.
 ///
-/// Works because encoding is canonical: a frame our own encoder
-/// produced carries the batch's canonical JSON verbatim inside the
-/// envelope (`{"schema":"<tag>","body":{"Upload":<batch>}}`), and the
-/// ingest fingerprint is FNV-1a over exactly those bytes. Returns
-/// `None` when the payload is not in canonical envelope form (e.g. a
-/// foreign client inserting whitespace) — the caller then falls back to
-/// re-serializing, so the fingerprint is identical either way.
+/// Only the envelope is checked for canonical form, not the batch. A
+/// frame our own encoder produced carries the batch's canonical JSON,
+/// so its fingerprint equals [`batch_fingerprint`]'s. A batch written
+/// with, say, one extra space inside a canonical envelope fingerprints
+/// differently from its canonical bytes: a byte-different re-send of a
+/// batch is therefore applied again rather than absorbed as a duplicate
+/// (harmless, since the merge is idempotent), and the server's WAL logs
+/// the bytes as they arrived.
+///
+/// [`batch_fingerprint`]: crate::fingerprint::batch_fingerprint
 pub fn upload_fingerprint_from_payload(payload: &[u8], version: WireVersion) -> Option<u64> {
-    let tag = version.tag();
-    let mut prefix = Vec::with_capacity(32 + tag.len());
-    prefix.extend_from_slice(ENVELOPE_HEAD);
-    prefix.extend_from_slice(tag.as_bytes());
-    prefix.extend_from_slice(ENVELOPE_BODY);
-    prefix.extend_from_slice(b"{\"Upload\":");
-    let body_end = payload.len().checked_sub(2)?;
-    if body_end <= prefix.len() || !payload.starts_with(&prefix) || &payload[body_end..] != b"}}" {
-        return None;
-    }
-    let batch_json = &payload[prefix.len()..body_end];
-    if batch_json.first() != Some(&b'{') {
-        return None;
-    }
-    Some(crate::fingerprint::fnv1a(batch_json))
+    let body = ENVELOPE_HEAD.len() + version.tag().len() + ENVELOPE_BODY.len();
+    let batch = canonical_batch(payload, version, body..payload.len().checked_sub(1)?)?;
+    // Nothing decoded the body, so check that the batch is one value.
+    let text = std::str::from_utf8(&payload[batch]).ok()?;
+    let mut r = serde::Reader::new(text);
+    r.skip_value().ok()?;
+    (r.offset() == text.len()).then(|| crate::fingerprint::fnv1a(text.as_bytes()))
 }
 
 #[cfg(test)]
@@ -681,83 +776,20 @@ mod tests {
             upload_fingerprint_from_payload(spaced.as_bytes(), WireVersion::V2),
             None
         );
+        // So does one with a key after the body: what precedes the
+        // envelope's last two braces is then not the batch alone.
+        let extra = [&text[..text.len() - 1], ",\"x\":{}}"].concat();
+        assert!(decode_payload::<Request>(extra.as_bytes()).is_ok());
+        assert_eq!(
+            upload_fingerprint_from_payload(extra.as_bytes(), WireVersion::V2),
+            None
+        );
         // Non-upload requests never fingerprint.
         let q = encode_frame(&Request::Query { top_n: 1 });
         assert_eq!(
             upload_fingerprint_from_payload(&q[8..], WireVersion::V2),
             None
         );
-    }
-
-    #[test]
-    fn frames_render_the_envelope_byte_for_byte() {
-        use crate::store::AggregationStore;
-        use hangdoctor::{RootCause, RootKind};
-        use hd_simrt::ActionUid;
-
-        fn check<T: Serialize>(body: &T) {
-            for version in [WireVersion::V2, WireVersion::Control] {
-                let envelope = Envelope {
-                    schema: version.tag().to_string(),
-                    body: body.to_value(),
-                };
-                let payload = serde_json::to_string(&envelope).unwrap();
-                let frame = encode_frame_in(version, body);
-                assert_eq!(&frame[..4], &MAGIC);
-                assert_eq!(&frame[4..8], &(payload.len() as u32).to_be_bytes());
-                assert_eq!(std::str::from_utf8(&frame[8..]).unwrap(), payload);
-            }
-        }
-
-        let mut report = HangBugReport::new("app \"quoted\"");
-        report.note_execution(7, ActionUid(1), "onOpen");
-        let root = RootCause {
-            symbol: "java.io.File.read".to_string(),
-            file: "Open.java".to_string(),
-            line: 31,
-            occurrence_factor: 0.5,
-            kind: RootKind::BlockingApi,
-        };
-        report.record_bug(7, ActionUid(1), &root, 150_000_000);
-        let batch = UploadBatch {
-            app: "app".to_string(),
-            device: 7,
-            seq: 3,
-            items: vec![TelemetryItem::Report(report)],
-        };
-        let mut store = AggregationStore::new();
-        store.ingest(&batch);
-        let empty = TelemetryReport::build([], 0, 3);
-        let requests = [
-            Request::Upload(batch.clone()),
-            Request::Query { top_n: 10 },
-            Request::Shutdown,
-            Request::Hello {
-                supported: SUPPORTED_SCHEMAS.iter().map(|s| s.to_string()).collect(),
-            },
-            Request::Export,
-            Request::Control(ControlRequest::QueryState { device: 9 }),
-            Request::Control(ControlRequest::RolloutStatus),
-        ];
-        let responses = [
-            Response::Ack {
-                fingerprint: u64::MAX,
-                duplicate: true,
-            },
-            Response::Nack { retry_after_ms: 5 },
-            Response::Report(store.report(10)),
-            Response::Report(empty),
-            Response::Error("line\nbreak".to_string()),
-            Response::Bye,
-            Response::Welcome {
-                schema: SCHEMA.to_string(),
-            },
-            Response::State(store.snapshot()),
-            Response::Control(ControlResponse::Ok),
-            Response::Control(ControlResponse::Err("no".to_string())),
-        ];
-        requests.iter().for_each(check);
-        responses.iter().for_each(check);
     }
 
     #[test]

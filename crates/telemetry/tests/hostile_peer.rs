@@ -2,7 +2,9 @@
 //! hold unbounded state: once the connection leaves enough response
 //! bytes untaken, the server stops reading it, so the peer's own writes
 //! block. Other connections are still served, and once the peer reads,
-//! every response arrives in request order.
+//! every response arrives in request order. And a small frame nested
+//! deeper than the JSON reader's cap is answered with an error; it
+//! cannot overflow an io worker's stack and take the server down.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -11,8 +13,46 @@ use std::time::{Duration, Instant};
 
 use hd_telemetry::{
     batch_fingerprint, drain_frames, encode_frame, read_frame, write_frame, Request, Response,
-    TelemetryServer, UploadBatch,
+    TelemetryServer, UploadBatch, MAGIC,
 };
+
+#[test]
+fn a_frame_nested_past_the_reader_cap_gets_an_error_and_the_server_lives() {
+    let server = TelemetryServer::builder().shards(2).start().unwrap();
+    let addr = server.local_addr();
+    let deep = "[".repeat(20 << 10);
+    // A frame of nothing but `[`, and the same nesting under an envelope
+    // key the reader skips, where it must descend to check the syntax.
+    let payloads = [
+        deep.clone(),
+        format!("{{\"schema\":\"hang-doctor/telemetry/v2\",\"x\":{deep}"),
+    ];
+    for payload in &payloads {
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(payload.as_bytes());
+        let mut peer = TcpStream::connect(addr).unwrap();
+        write_frame(&mut peer, &frame).unwrap();
+        match read_frame::<Response>(&mut peer).unwrap() {
+            Response::Error(e) => assert!(e.contains("malformed frame payload"), "{e}"),
+            other => panic!("expected an error answer, got {other:?}"),
+        }
+    }
+    // The server still answers, on a fresh connection.
+    let mut other = TcpStream::connect(addr).unwrap();
+    write_frame(&mut other, &encode_frame(&Request::Query { top_n: 1 })).unwrap();
+    assert!(matches!(
+        read_frame::<Response>(&mut other).unwrap(),
+        Response::Report(_)
+    ));
+    write_frame(&mut other, &encode_frame(&Request::Shutdown)).unwrap();
+    assert!(matches!(
+        read_frame::<Response>(&mut other).unwrap(),
+        Response::Bye
+    ));
+    drop(other);
+    assert_eq!(server.join().decode_errors, payloads.len() as u64);
+}
 
 #[test]
 fn a_peer_that_never_reads_is_not_read_until_it_drains() {

@@ -1,18 +1,23 @@
 //! Durability edge cases pinned as regressions: torn tails drop
-//! cleanly, CRC corruption is a typed error (never a panic), compaction
+//! cleanly, CRC corruption and records nested past the JSON reader's
+//! cap are typed errors (never a panic or an abort), compaction
 //! preserves replay byte-for-byte, even while uploads land, and a
 //! killed-and-restarted server recovers the identical aggregate over the
-//! real TCP path.
+//! real TCP path, also after a byte-different re-send of a batch.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread;
 
 use hangdoctor::{HangBugReport, RootCause, RootKind};
 use hd_simrt::ActionUid;
-use hd_telemetry::wal::{recover_shard, snapshot_path, wal_path, write_snapshot, Wal};
+use hd_telemetry::wal::{
+    crc32, recover_shard, scan_wal, snapshot_path, wal_path, write_snapshot, Wal,
+};
 use hd_telemetry::{
-    batch_fingerprint, AggregationStore, PipelinedUploader, TelemetryError, TelemetryItem,
-    TelemetryServer, UploadBatch, Uploader,
+    batch_fingerprint, encode_frame, fnv1a, read_frame, shard_for, write_frame, AggregationStore,
+    PipelinedUploader, Request, Response, TelemetryError, TelemetryItem, TelemetryServer,
+    UploadBatch, Uploader, MAGIC, SCHEMA, WAL_MAGIC,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -118,6 +123,110 @@ fn crc_corruption_is_a_typed_error_not_a_panic() {
         }
         other => panic!("expected WalCorrupt, got {:?}", other.map(|_| ())),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_record_nested_past_the_reader_cap_is_corrupt_not_an_abort() {
+    let dir = scratch("deep");
+    let path = wal_path(&dir, 0);
+    {
+        let (mut wal, _) = Wal::open(&path, 0, 0).unwrap();
+        append_corpus(&mut wal, &corpus());
+    }
+    // A CRC-valid batch record whose batch holds an unknown key nested
+    // 20,000 levels deep: the reader must descend to skip it.
+    let deep = "[".repeat(20_000) + &"]".repeat(20_000);
+    let payload = format!(
+        r#"{{"Batch":{{"fingerprint":1,"batch":{{"app":"a","device":1,"seq":0,"items":[],"x":{deep}}}}}}}"#
+    );
+    let mut bytes = std::fs::read(&path).unwrap();
+    let offset = bytes.len() as u64;
+    bytes.extend_from_slice(&WAL_MAGIC);
+    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(&crc32(payload.as_bytes()).to_be_bytes());
+    bytes.extend_from_slice(payload.as_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    for scanned in [
+        scan_wal(&bytes).map(|_| ()),
+        Wal::open(&path, 0, 0).map(|_| ()),
+    ] {
+        match scanned {
+            Err(TelemetryError::WalCorrupt { offset: at, reason }) => {
+                assert_eq!(at, offset);
+                assert!(reason.contains("nesting"), "{reason}");
+            }
+            other => panic!("expected WalCorrupt, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch re-sent with one extra space inside a canonical envelope
+/// fingerprints differently from its canonical bytes, so the server
+/// applies it again instead of absorbing it. That changes no byte of
+/// the aggregate (the merge is idempotent), the WAL logs the bytes as
+/// they arrived, and replay after a kill folds to the same report.
+#[test]
+fn a_byte_different_resend_is_applied_again_and_replays_the_same() {
+    let dir = scratch("resend");
+    let wal_dir = dir.to_string_lossy().to_string();
+    let start = || {
+        TelemetryServer::builder()
+            .addr("127.0.0.1:0")
+            .shards(2)
+            .wal_dir(wal_dir.clone())
+            .start()
+            .unwrap()
+    };
+    let batch = batch("k9mail", 1, 0, 2);
+    let canonical = serde_json::to_string(&batch).unwrap();
+    let spaced = canonical.replacen("\"seq\":", "\"seq\": ", 1);
+    assert_ne!(spaced, canonical);
+    let payload = format!(r#"{{"schema":"{SCHEMA}","body":{{"Upload":{spaced}}}}}"#);
+    let mut spaced_frame = MAGIC.to_vec();
+    spaced_frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    spaced_frame.extend_from_slice(payload.as_bytes());
+
+    let server = start();
+    let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+    let mut send = |frame: &[u8]| {
+        write_frame(&mut peer, frame).unwrap();
+        read_frame::<Response>(&mut peer).unwrap()
+    };
+    let query = |addr| Uploader::plain(addr).query(10).unwrap().to_json();
+    let acked = |response: Response| match response {
+        Response::Ack {
+            fingerprint,
+            duplicate,
+        } => (fingerprint, duplicate),
+        other => panic!("expected an ACK, got {other:?}"),
+    };
+    let first = acked(send(&encode_frame(&Request::Upload(batch.clone()))));
+    assert_eq!(first, (batch_fingerprint(&batch), false));
+    let report = query(server.local_addr());
+    // Same batch, other bytes: a second fingerprint, applied again.
+    let second = acked(send(&spaced_frame));
+    assert_eq!(second, (fnv1a(spaced.as_bytes()), false));
+    assert_ne!(second.0, first.0);
+    // The same bytes again are a duplicate.
+    assert_eq!(acked(send(&spaced_frame)), (second.0, true));
+    assert_eq!(query(server.local_addr()), report, "the aggregate moved");
+    drop(peer);
+    server.kill();
+
+    let log = std::fs::read(wal_path(&dir, shard_for("k9mail", 1, 2))).unwrap();
+    let logged = scan_wal(&log).unwrap().batches;
+    assert_eq!(logged.len(), 2, "both fingerprints are logged, once each");
+    assert!(
+        log.windows(spaced.len()).any(|w| w == spaced.as_bytes()),
+        "the WAL logs the batch's bytes as they arrived"
+    );
+    let revived = start();
+    assert_eq!(revived.stats().batches_recovered, 2);
+    assert_eq!(query(revived.local_addr()), report);
+    revived.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,12 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Generates `Serialize` / `Deserialize` impls against the value-tree
-//! traits in the workspace's `serde` shim. Because the build
-//! environment has no crates.io access, this proc macro cannot use
-//! `syn`/`quote`; it parses the derive input token stream by hand.
+//! Generates `Serialize` / `Deserialize` impls against the streaming
+//! traits in the workspace's `serde` shim: writers that go field by
+//! field, and readers that match each key as it arrives (the first of
+//! two duplicate keys wins, unknown keys are skipped, an absent field
+//! reads as `null` would). Because the build environment has no
+//! crates.io access, this proc macro cannot use `syn`/`quote`; it
+//! parses the derive input token stream by hand.
 //!
 //! Supported shapes (everything the workspace derives on):
 //! named-field structs, tuple structs (single-field newtypes serialize
@@ -225,29 +228,48 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 const IMPL_ATTRS: &str = "#[automatically_derived]\n#[allow(warnings, clippy::all)]\n";
 
+/// Statements writing `{"f": <f>, ...}`, each field's value an
+/// expression built from its name by `value`.
+fn ser_object(fields: &[String], value: impl Fn(&str) -> String) -> String {
+    let mut out = String::from("__w.begin_object();");
+    for f in fields {
+        out.push_str(&format!(
+            " __w.key(\"{f}\"); ::serde::Serialize::serialize({}, __w);",
+            value(f)
+        ));
+    }
+    out.push_str(" __w.end_object();");
+    out
+}
+
+/// Statements writing `[<e0>, ...]` from the element expressions.
+fn ser_array(items: &[String]) -> String {
+    let mut out = String::from("__w.begin_array();");
+    for item in items {
+        out.push_str(&format!(
+            " __w.element(); ::serde::Serialize::serialize({item}, __w);"
+        ));
+    }
+    out.push_str(" __w.end_array();");
+    out
+}
+
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
+    let mut extra = String::new();
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let pairs: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
+        Shape::NamedStruct(fields) => ser_object(fields, |f| format!("&self.{f}")),
+        Shape::TupleStruct(1) => {
+            extra = "fn __map_key(&self) -> ::std::borrow::Cow<'_, str> { \
+                     ::serde::Serialize::__map_key(&self.0) }"
+                .to_string();
+            "::serde::Serialize::serialize(&self.0, __w);".to_string()
         }
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
         Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
+            let items: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            ser_array(&items)
         }
-        Shape::UnitStruct => "::serde::Value::Null".to_string(),
+        Shape::UnitStruct => "__w.null();".to_string(),
         Shape::Enum(variants) => {
             let arms: Vec<String> = variants.iter().map(|v| ser_variant_arm(name, v)).collect();
             format!("match self {{ {} }}", arms.join(" "))
@@ -255,170 +277,166 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "{IMPL_ATTRS}impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+         fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}\n\
+         {extra}\n\
          }}"
     )
 }
 
 fn ser_variant_arm(name: &str, v: &Variant) -> String {
     let vname = &v.name;
-    match &v.kind {
-        VariantKind::Unit => format!(
-            "{name}::{vname} => \
-             ::serde::Value::Str(::std::string::String::from(\"{vname}\")),"
-        ),
-        VariantKind::Tuple(1) => format!(
-            "{name}::{vname}(__f0) => ::serde::Value::Object(::std::vec![\
-             (::std::string::String::from(\"{vname}\"), \
-             ::serde::Serialize::to_value(__f0))]),"
+    let (pattern, inner) = match &v.kind {
+        VariantKind::Unit => return format!("{name}::{vname} => __w.str(\"{vname}\"),"),
+        VariantKind::Tuple(1) => (
+            "(__f0)".to_string(),
+            "::serde::Serialize::serialize(__f0, __w);".to_string(),
         ),
         VariantKind::Tuple(n) => {
             let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(__f{i})"))
-                .collect();
-            format!(
-                "{name}::{vname}({}) => ::serde::Value::Object(::std::vec![\
-                 (::std::string::String::from(\"{vname}\"), \
-                 ::serde::Value::Array(::std::vec![{}]))]),",
-                binds.join(", "),
-                items.join(", ")
-            )
+            (format!("({})", binds.join(", ")), ser_array(&binds))
         }
-        VariantKind::Struct(fields) => {
-            let binds = fields.join(", ");
-            let pairs: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), \
-                         ::serde::Serialize::to_value({f}))"
-                    )
-                })
-                .collect();
-            format!(
-                "{name}::{vname} {{ {binds} }} => ::serde::Value::Object(::std::vec![\
-                 (::std::string::String::from(\"{vname}\"), \
-                 ::serde::Value::Object(::std::vec![{}]))]),",
-                pairs.join(", ")
-            )
-        }
-    }
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::__field(__pairs, \"{f}\")?,"))
-                .collect();
-            format!(
-                "match __value {{\n\
-                 ::serde::Value::Object(__pairs) => \
-                 ::std::result::Result::Ok({name} {{ {} }}),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected object for struct {name}\")),\n\
-                 }}",
-                inits.join(" ")
-            )
-        }
-        Shape::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))")
-        }
-        Shape::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            format!(
-                "match __value {{\n\
-                 ::serde::Value::Array(__items) if __items.len() == {n} => \
-                 ::std::result::Result::Ok({name}({})),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected {n}-element array for struct {name}\")),\n\
-                 }}",
-                items.join(", ")
-            )
-        }
-        Shape::UnitStruct => format!("::std::result::Result::Ok({name})"),
-        Shape::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{0}\" => ::std::result::Result::Ok({name}::{0}),", v.name))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| de_tagged_arm(name, v))
-                .collect();
-            format!(
-                "match __value {{\n\
-                 ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                 {}\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(::std::format!(\
-                 \"unknown variant `{{__s}}` of enum {name}\"))),\n\
-                 }},\n\
-                 ::serde::Value::Object(__pairs) if __pairs.len() == 1 => {{\n\
-                 let (__tag, __inner) = &__pairs[0];\n\
-                 match __tag.as_str() {{\n\
-                 {}\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(::std::format!(\
-                 \"unknown variant `{{__tag}}` of enum {name}\"))),\n\
-                 }}\n\
-                 }},\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected variant of enum {name}\")),\n\
-                 }}",
-                unit_arms.join("\n"),
-                tagged_arms.join("\n")
-            )
-        }
+        VariantKind::Struct(fields) => (
+            format!(" {{ {} }}", fields.join(", ")),
+            ser_object(fields, str::to_string),
+        ),
     };
     format!(
-        "{IMPL_ATTRS}impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(__value: &::serde::Value) -> \
-         ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
+        "{name}::{vname}{pattern} => {{ __w.begin_object(); __w.key(\"{vname}\"); \
+         {inner} __w.end_object(); }}"
+    )
+}
+
+fn err(msg: &str) -> String {
+    format!("::std::result::Result::Err(::serde::Error::custom(\"{msg}\"))")
+}
+
+/// A block reading an object into `ctor { fields }`: each key as it
+/// arrives, the first of two duplicates winning, unknown keys skipped,
+/// and an absent field read as `null` would be.
+fn de_object(ctor: &str, fields: &[String]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, fname) in fields.iter().enumerate() {
+        slots.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{fname}\" if __f{i}.is_none() => \
+             __f{i} = ::std::option::Option::Some(::serde::__field(__r, \"{fname}\")?),\n"
+        ));
+        inits.push_str(&format!(
+            "{fname}: match __f{i} {{ ::std::option::Option::Some(__v) => __v, \
+             ::std::option::Option::None => ::serde::__missing(\"{fname}\")? }},\n"
+        ));
+    }
+    format!(
+        "{{\n{slots}\
+         __r.begin_object()?;\n\
+         while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
+         match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+         }}\n\
+         {ctor} {{ {inits} }}\n\
          }}"
     )
 }
 
-fn de_tagged_arm(name: &str, v: &Variant) -> Option<String> {
-    let vname = &v.name;
-    match &v.kind {
-        VariantKind::Unit => None,
-        VariantKind::Tuple(1) => Some(format!(
-            "\"{vname}\" => ::std::result::Result::Ok(\
-             {name}::{vname}(::serde::Deserialize::from_value(__inner)?)),"
-        )),
-        VariantKind::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
-            Some(format!(
-                "\"{vname}\" => match __inner {{\n\
-                 ::serde::Value::Array(__items) if __items.len() == {n} => \
-                 ::std::result::Result::Ok({name}::{vname}({})),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected {n}-element array for variant {name}::{vname}\")),\n\
-                 }},",
-                items.join(", ")
-            ))
+/// A block reading an `n`-element array into `ctor(e0, ...)`.
+fn de_array(ctor: &str, n: usize, what: &str) -> String {
+    let binds: Vec<String> = (0..n).map(|i| format!("__f{i}")).collect();
+    let reads: String = binds
+        .iter()
+        .map(|b| format!("let {b} = ::serde::__element(__r, {n}, \"{what}\")?;\n"))
+        .collect();
+    format!(
+        "{{\n__r.begin_array()?;\n{reads}\
+         ::serde::__end_array(__r, {n}, \"{what}\")?;\n\
+         {ctor}({})\n\
+         }}",
+        binds.join(", ")
+    )
+}
+
+fn gen_deserialize(item: &Item) -> String {
+    let name = &item.name;
+    let mut extra = String::new();
+    let body = match &item.shape {
+        Shape::NamedStruct(fields) => {
+            format!("::std::result::Result::Ok({})", de_object(name, fields))
         }
-        VariantKind::Struct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::__field(__fields, \"{f}\")?,"))
-                .collect();
-            Some(format!(
-                "\"{vname}\" => match __inner {{\n\
-                 ::serde::Value::Object(__fields) => \
-                 ::std::result::Result::Ok({name}::{vname} {{ {} }}),\n\
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected object for variant {name}::{vname}\")),\n\
-                 }},",
-                inits.join(" ")
-            ))
+        Shape::TupleStruct(1) => {
+            extra = format!(
+                "fn __from_key(__k: &str) -> ::std::result::Result<Self, ::serde::Error> {{ \
+                 ::std::result::Result::Ok({name}(::serde::Deserialize::__from_key(__k)?)) }}"
+            );
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__r)?))")
+        }
+        Shape::TupleStruct(n) => format!(
+            "::std::result::Result::Ok({})",
+            de_array(name, *n, &format!("struct {name}"))
+        ),
+        Shape::UnitStruct => format!("__r.skip_value()?; ::std::result::Result::Ok({name})"),
+        Shape::Enum(variants) => de_enum(name, variants),
+    };
+    format!(
+        "{IMPL_ATTRS}impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize(__r: &mut ::serde::Reader<'_>) -> \
+         ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
+         {extra}\n\
+         }}"
+    )
+}
+
+/// Reads an externally tagged enum: a unit variant as its name, any
+/// other as an object with exactly one key, its name.
+fn de_enum(name: &str, variants: &[Variant]) -> String {
+    let unknown = |tag: &str| {
+        format!(
+            "::std::result::Result::Err(::serde::Error::custom(::std::format!(\
+             \"unknown variant `{{}}` of enum {name}\", {tag})))"
+        )
+    };
+    let not_a_variant = err(&format!("expected variant of enum {name}"));
+    let mut unit_arms = String::new();
+    let mut tagged_arms = String::new();
+    for v in variants {
+        let vname = &v.name;
+        let ctor = format!("{name}::{vname}");
+        match &v.kind {
+            VariantKind::Unit => unit_arms.push_str(&format!(
+                "\"{vname}\" => ::std::result::Result::Ok({ctor}),\n"
+            )),
+            VariantKind::Tuple(1) => tagged_arms.push_str(&format!(
+                "\"{vname}\" => {ctor}(::serde::Deserialize::deserialize(__r)?),\n"
+            )),
+            VariantKind::Tuple(n) => tagged_arms.push_str(&format!(
+                "\"{vname}\" => {},\n",
+                de_array(&ctor, *n, &format!("variant {ctor}"))
+            )),
+            VariantKind::Struct(fields) => {
+                tagged_arms.push_str(&format!("\"{vname}\" => {},\n", de_object(&ctor, fields)))
+            }
         }
     }
+    format!(
+        "match __r.peek() {{\n\
+         ::std::option::Option::Some(b'\"') => {{\n\
+         let __s = __r.string()?;\n\
+         match &*__s {{\n{unit_arms}__other => {},\n}}\n\
+         }}\n\
+         ::std::option::Option::Some(b'{{') => {{\n\
+         __r.begin_object()?;\n\
+         let __tag = match __r.next_key()? {{\n\
+         ::std::option::Option::Some(__t) => __t,\n\
+         ::std::option::Option::None => return {not_a_variant},\n\
+         }};\n\
+         let __value: Self = match &*__tag {{\n{tagged_arms}__other => return {},\n}};\n\
+         if __r.next_key()?.is_some() {{\n\
+         return {not_a_variant};\n\
+         }}\n\
+         ::std::result::Result::Ok(__value)\n\
+         }}\n\
+         _ => {not_a_variant},\n\
+         }}",
+        unknown("__other"),
+        unknown("__other"),
+    )
 }

@@ -1,379 +1,36 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders and parses JSON through the [`serde`] shim's [`Value`]
-//! tree. Output formatting matches real serde_json: compact form has
-//! no whitespace, pretty form indents by two spaces, floats print via
-//! Rust's shortest-roundtrip `{:?}` (so `1.0` stays `1.0`), and
-//! strings escape `"` `\\` and control characters.
+//! A thin front end over the [`serde`] shim's one JSON writer
+//! ([`serde::Writer`]) and one JSON reader ([`serde::Reader`]): values
+//! write and read themselves straight as text, with no tree in between.
+//! Output formatting matches real serde_json: compact form has no
+//! whitespace, pretty form indents by two spaces, floats print via
+//! Rust's shortest-roundtrip `{:?}` (so `1.0` stays `1.0`), and strings
+//! escape `"` `\\` and control characters. Reading rejects trailing
+//! characters and nesting deeper than [`serde::MAX_DEPTH`] levels.
 
 pub use serde::{Error, Value};
 
 /// Serializes `value` to a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    render(&value.to_value(), None, &mut out);
-    Ok(out)
+    let mut w = serde::Writer::new(false);
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Serializes `value` to a pretty-printed JSON string (2-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    render(&value.to_value(), Some(0), &mut out);
-    Ok(out)
+    let mut w = serde::Writer::new(true);
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Deserializes a value of `T` from a JSON string.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    T::from_value(&value)
-}
-
-// ---------------------------------------------------------------------------
-// Rendering
-// ---------------------------------------------------------------------------
-
-fn render(value: &Value, indent: Option<usize>, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Debug is Rust's shortest round-trip form and keeps the
-                // trailing `.0` on integral floats, like serde_json.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => render_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    push_newline_indent(out, level + 1);
-                    render(item, Some(level + 1), out);
-                } else {
-                    render(item, None, out);
-                }
-            }
-            if let Some(level) = indent {
-                push_newline_indent(out, level);
-            }
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    push_newline_indent(out, level + 1);
-                    render_string(key, out);
-                    out.push_str(": ");
-                    render(item, Some(level + 1), out);
-                } else {
-                    render_string(key, out);
-                    out.push(':');
-                    render(item, None, out);
-                }
-            }
-            if let Some(level) = indent {
-                push_newline_indent(out, level);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn push_newline_indent(out: &mut String, level: usize) {
-    out.push('\n');
-    for _ in 0..level {
-        out.push_str("  ");
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at offset {}",
-            p.pos
-        )));
-    }
+    let mut r = serde::Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.end()?;
     Ok(value)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            match b {
-                b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at offset {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            other => Err(Error::custom(format!(
-                "unexpected {:?} at offset {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at offset {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at offset {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error::custom(format!("invalid UTF-8 in string: {e}")))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    out.push(self.escape()?);
-                }
-                None => return Err(Error::custom("unterminated string")),
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    fn escape(&mut self) -> Result<char, Error> {
-        let b = self
-            .peek()
-            .ok_or_else(|| Error::custom("unterminated escape"))?;
-        self.pos += 1;
-        Ok(match b {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'b' => '\u{08}',
-            b'f' => '\u{0c}',
-            b'u' => {
-                let hi = self.hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair.
-                    if !self.eat_literal("\\u") {
-                        return Err(Error::custom("unpaired surrogate"));
-                    }
-                    let lo = self.hex4()?;
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else {
-                    hi
-                };
-                char::from_u32(code)
-                    .ok_or_else(|| Error::custom(format!("invalid codepoint {code:#x}")))?
-            }
-            other => {
-                return Err(Error::custom(format!(
-                    "invalid escape `\\{}`",
-                    other as char
-                )))
-            }
-        })
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error::custom("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| Error::custom("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16)
-            .map_err(|_| Error::custom(format!("invalid \\u escape `{s}`")))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if !is_float {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
-            }
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::Int(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-    }
 }
 
 #[cfg(test)]
@@ -390,26 +47,32 @@ mod tests {
             ),
             ("c".to_string(), Value::Str("x\"y".to_string())),
         ]);
-        let mut out = String::new();
-        render(&v, None, &mut out);
-        assert_eq!(out, r#"{"a":1,"b":[1.0,null],"c":"x\"y"}"#);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"a":1,"b":[1.0,null],"c":"x\"y"}"#
+        );
     }
 
     #[test]
     fn pretty_rendering_indents_two_spaces() {
-        let v = Value::Object(vec![(
-            "xs".to_string(),
-            Value::Array(vec![Value::UInt(1), Value::UInt(2)]),
-        )]);
-        let mut out = String::new();
-        render(&v, Some(0), &mut out);
-        assert_eq!(out, "{\n  \"xs\": [\n    1,\n    2\n  ]\n}");
+        let v = Value::Object(vec![
+            (
+                "xs".to_string(),
+                Value::Array(vec![Value::UInt(1), Value::UInt(2)]),
+            ),
+            ("e".to_string(), Value::Array(Vec::new())),
+            ("o".to_string(), Value::Object(Vec::new())),
+        ]);
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"xs\": [\n    1,\n    2\n  ],\n  \"e\": [],\n  \"o\": {}\n}"
+        );
     }
 
     #[test]
     fn parse_roundtrips() {
         let src = r#"{"a":-3,"b":[true,false,null,2.5],"s":"A\n"}"#;
-        let v = parse(src).unwrap();
+        let v: Value = from_str(src).unwrap();
         assert_eq!(
             v,
             Value::Object(vec![
@@ -426,9 +89,9 @@ mod tests {
                 ("s".to_string(), Value::Str("A\n".to_string())),
             ])
         );
-        let mut out = String::new();
-        render(&v, None, &mut out);
-        let v2 = parse(&out).unwrap();
+        let out = to_string(&v).unwrap();
+        assert_eq!(out, src);
+        let v2: Value = from_str(&out).unwrap();
         assert_eq!(v, v2);
     }
 
@@ -442,7 +105,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        assert!(parse("1 2").is_err());
+        assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<u64>("true").is_err());
     }
 }
