@@ -389,6 +389,11 @@ fn cluster(o: &Opts) -> Result<(), String> {
 /// `BENCH_fleet.json` tracks the multiple.
 const FLEET_BASELINE: f64 = 1.67;
 
+/// Back-to-back `run_fleet` calls behind each `bench-summary` row. A
+/// quick-fleet run takes ~5–20 ms, so one draw of the host's noise can
+/// move it by half; the row keeps the fastest.
+const BENCH_RUNS_PER_ROW: usize = 7;
+
 /// ns per `MemProfile::accrue` call, timed directly so the bench
 /// artifact carries the kernel floor rather than inferring it from
 /// fleet wall time.
@@ -411,20 +416,33 @@ fn accrue_ns(profile: &hd_simrt::MemProfile) -> f64 {
 }
 
 fn bench_summary(o: &Opts) -> Result<(), String> {
-    // The v2 sweep: the same workload at 1/2/4/8/16 threads plus the
+    // The sweep: the same workload at 1/2/4/8/16 threads plus the
     // accrual-kernel microbenchmark, so one artifact carries the serial
     // floor, the scaling curve, and the kernel cost.
     let accrue = hd_fleet::AccrueBench {
         ui_ns_per_call: accrue_ns(&hd_simrt::MemProfile::ui()),
         memory_heavy_ns_per_call: accrue_ns(&hd_simrt::MemProfile::memory_heavy()),
     };
-    let rows = [1usize, 2, 4, 8, 16].map(|threads| {
+    let mut rows = Vec::new();
+    for threads in [1usize, 2, 4, 8, 16] {
         let spec = hd_fleet::FleetSpec {
             threads,
             ..study_spec(o)
         };
-        hd_fleet::run_fleet(&spec).bench_row()
-    });
+        let runs: Vec<_> = (0..BENCH_RUNS_PER_ROW)
+            .map(|_| hd_fleet::run_fleet(&spec))
+            .collect();
+        let merged = to_json(&runs[0].merged);
+        if runs.iter().any(|r| to_json(&r.merged) != merged) {
+            return Err(format!("{threads}-thread fleet runs merged differently"));
+        }
+        let rate = |r: &&hd_fleet::FleetReport| r.timing.device_hours_per_wall_second;
+        let fastest = runs
+            .iter()
+            .max_by(|a, b| rate(a).total_cmp(&rate(b)))
+            .expect("at least one run");
+        rows.push(fastest.bench_row());
+    }
     let workload = format!(
         "table5 study corpus, {} devices/app, executions {}, seed {}{}",
         o.get::<u32>("devices"),
@@ -432,11 +450,12 @@ fn bench_summary(o: &Opts) -> Result<(), String> {
         o.seed(),
         if o.chaos().is_some() { ", chaos" } else { "" },
     );
-    let b = hd_fleet::FleetBench::new(&workload, FLEET_BASELINE, accrue, rows.to_vec());
+    let b = hd_fleet::FleetBench::new(&workload, FLEET_BASELINE, BENCH_RUNS_PER_ROW, accrue, rows);
     let best = b.best_device_hours_per_wall_second;
     let text = format!(
-        "best {best:.2} device-hours/s over {} thread counts ({:.1}x the \
-         {FLEET_BASELINE:.2} baseline); accrue ui {:.1} ns, memory-heavy {:.1} ns",
+        "best {best:.2} device-hours/s over {} thread counts (fastest of \
+         {BENCH_RUNS_PER_ROW} runs each; {:.1}x the {FLEET_BASELINE:.2} baseline); \
+         accrue ui {:.1} ns, memory-heavy {:.1} ns",
         b.rows.len(),
         best / FLEET_BASELINE,
         b.accrue.ui_ns_per_call,

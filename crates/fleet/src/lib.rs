@@ -248,10 +248,11 @@ pub struct FleetReport {
     pub timing: FleetTiming,
 }
 
-/// Schema tag of `BENCH_fleet.json` (the v2 fleet bench artifact).
-pub const FLEET_BENCH_SCHEMA: &str = "hang-doctor/fleet-bench/v2";
+/// Schema tag of `BENCH_fleet.json`. v3: each row is the fastest of
+/// [`FleetBench::runs_per_row`] back-to-back runs, not a single run.
+pub const FLEET_BENCH_SCHEMA: &str = "hang-doctor/fleet-bench/v3";
 
-/// One thread-count row of the v2 fleet bench schema.
+/// One thread-count row of the fleet bench schema.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchRow {
     /// Worker threads used for this row.
@@ -292,6 +293,9 @@ pub struct FleetBench {
     /// The PR 2 reference throughput this trajectory is measured
     /// against, device-hours per wall second.
     pub baseline_device_hours_per_wall_second: f64,
+    /// Back-to-back runs behind each row; a row is the fastest of them,
+    /// and all of them merged to the same bytes.
+    pub runs_per_row: usize,
     /// Accrual-kernel microbenchmark at the time of the sweep.
     pub accrue: AccrueBench,
     /// One row per measured thread count, ascending.
@@ -302,7 +306,13 @@ pub struct FleetBench {
 
 impl FleetBench {
     /// Assembles the sweep artifact; `best` is computed from the rows.
-    pub fn new(workload: &str, baseline: f64, accrue: AccrueBench, rows: Vec<BenchRow>) -> Self {
+    pub fn new(
+        workload: &str,
+        baseline: f64,
+        runs_per_row: usize,
+        accrue: AccrueBench,
+        rows: Vec<BenchRow>,
+    ) -> Self {
         let best = rows
             .iter()
             .map(|r| r.device_hours_per_wall_second)
@@ -311,6 +321,7 @@ impl FleetBench {
             schema: FLEET_BENCH_SCHEMA.into(),
             workload: workload.into(),
             baseline_device_hours_per_wall_second: baseline,
+            runs_per_row,
             accrue,
             rows,
             best_device_hours_per_wall_second: best,
@@ -319,7 +330,7 @@ impl FleetBench {
 }
 
 impl FleetReport {
-    /// Collapses the run into one [`BenchRow`] of the v2 sweep.
+    /// Collapses the run into one [`BenchRow`] of the sweep.
     pub fn bench_row(&self) -> BenchRow {
         BenchRow {
             threads: self.timing.threads,

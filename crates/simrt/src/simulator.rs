@@ -61,7 +61,9 @@ impl Default for SimConfig {
 /// Result of [`Simulator::run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunSummary {
-    /// Simulated time when the run stopped.
+    /// Simulated time when the run stopped: the last event's time, or
+    /// the horizon (`SimConfig::max_sim_ns`) itself when the run was
+    /// truncated, whatever event lay beyond it.
     pub ended_at: SimTime,
     /// Whether the hard horizon truncated the run.
     pub truncated: bool,
@@ -84,44 +86,33 @@ struct ArrivedRequest {
     events: Vec<Vec<Step>>,
 }
 
+/// An event's place in the run's one total order: its time, then the
+/// sequence number [`World::stamp`] gave it. Staged arrivals, heap
+/// entries and the per-core slots all carry one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    at: SimTime,
+    seq: u64,
+}
+
+/// The events that live on the heap. Each core's kworker pulse and
+/// slice boundary live in its [`CoreSlot`] instead.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// A running app thread's segment-or-slice boundary on `core`.
-    Core { core: usize, gen: u64 },
     /// Wake a blocked app thread (I/O done or a joined task finished).
     Wake { tid: usize },
     /// A probe timer fires.
     ProbeTimer { probe: usize, token: u64 },
-    /// The system thread pinned to `core` wakes for a burst.
-    PulseWake { core: usize },
-    /// The burst on `core` ends.
-    PulseEnd { core: usize },
-}
-
-impl Ev {
-    /// The core of a pulse event and whether its burst is running.
-    fn as_pulse(&self) -> Option<(usize, bool)> {
-        match *self {
-            Ev::PulseWake { core } => Some((core, false)),
-            Ev::PulseEnd { core } => Some((core, true)),
-            _ => None,
-        }
-    }
-
-    fn is_pulse(&self) -> bool {
-        self.as_pulse().is_some()
-    }
 }
 
 struct QEntry {
-    at: SimTime,
-    seq: u64,
+    due: Due,
     ev: Ev,
 }
 
 impl PartialEq for QEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.due == other.due
     }
 }
 impl Eq for QEntry {}
@@ -133,16 +124,36 @@ impl PartialOrd for QEntry {
 impl Ord for QEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed so the BinaryHeap pops the earliest (time, seq) first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.due.cmp(&self.due)
     }
+}
+
+/// Where the run's next event comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Source {
+    /// The head of the staged arrivals.
+    Arrival,
+    /// The top of the heap.
+    Heap,
+    /// The kworker pulse of a core.
+    Pulse(usize),
+    /// The slice boundary of a core.
+    Slice(usize),
 }
 
 #[derive(Clone, Copy, Debug, Default)]
 struct CoreSlot {
     running: Option<usize>,
-    gen: u64,
     slice_end: SimTime,
     accrue_from: SimTime,
+    /// The running app thread's next segment-or-slice boundary; `None`
+    /// while the core is free or its kworker runs. `start_run` and
+    /// `handle_slice` set it, `off_cpu` clears it.
+    slice_due: Option<Due>,
+    /// The kworker's pending event: the end of its burst while it runs
+    /// (`running == Some(pulse_tid)`), its next wake otherwise. Every
+    /// core has one from `World::new` on.
+    pulse_due: Due,
     /// The system thread pinned to this core. While it runs, its burst's
     /// clocks are already booked, so incremental accrual skips the core.
     pulse_tid: usize,
@@ -152,6 +163,12 @@ struct CoreSlot {
     /// Period from the current burst's end to the next wake, drawn at
     /// wake together with the burst length.
     pulse_period: u64,
+}
+
+impl CoreSlot {
+    fn in_burst(&self) -> bool {
+        self.running == Some(self.pulse_tid)
+    }
 }
 
 /// The law of a kworker pulse cycle: the burst is uniform in
@@ -178,8 +195,8 @@ impl PulseLaw {
 
     /// Turns one 64-bit draw into `(burst, period)`, each at least 1 ns,
     /// by integer multiply-shift: the low half picks the burst, the high
-    /// half the period. The heap path and the idle loop both call it,
-    /// once per cycle.
+    /// half the period. `pulse_wake` and the idle loop both call it, once
+    /// per cycle.
     #[inline]
     fn cycle(&self, draw: u64) -> (u64, u64) {
         let scale = |bits: u64, span: u64| ((u128::from(bits) * u128::from(span)) >> 32) as u64;
@@ -268,10 +285,8 @@ struct ExecutorState {
 pub(crate) struct World {
     cfg: SimConfig,
     now: SimTime,
+    /// Pending wakes and probe timers.
     queue: BinaryHeap<QEntry>,
-    /// Entries on `queue` that are not pulse events. When it is zero and
-    /// nothing is ready, the run is in an idle gap (see `idle_gap`).
-    non_pulse: usize,
     seq: u64,
     threads: Vec<SimThread>,
     ready: [VecDeque<usize>; NUM_PRIOS],
@@ -284,7 +299,7 @@ pub(crate) struct World {
     /// User actions staged before the run, sorted by `(at, seq)` when
     /// `run` starts. Keeping them out of the transient-event heap keeps
     /// that heap a handful of entries deep for the whole run.
-    arrivals: VecDeque<(SimTime, u64, ArrivedRequest)>,
+    arrivals: VecDeque<(Due, ArrivedRequest)>,
     frames: Arc<FrameTable>,
     names: NameTable,
     rng: SimRng,
@@ -344,7 +359,6 @@ impl World {
         let mut world = World {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            non_pulse: 0,
             seq: 0,
             threads,
             ready: Default::default(),
@@ -389,7 +403,7 @@ impl World {
             world.threads.push(t);
             world.cores[core].pulse_tid = tid;
             let offset = world.rng.uniform_u64(0, world.cfg.system_period_ns.max(1));
-            world.push_ev(SimTime(offset), Ev::PulseWake { core });
+            world.cores[core].pulse_due = world.stamp(SimTime(offset));
         }
         // Then each train gets its own stream. These are the last pulse
         // draws on the world's stream: no app draw moves a pulse, and no
@@ -400,22 +414,19 @@ impl World {
         world
     }
 
-    /// Stamps an event with the next sequence number (never in the past).
-    fn stamp(&mut self, at: SimTime, ev: Ev) -> QEntry {
+    /// Stamps an event due at `at` (never in the past) with the next
+    /// sequence number.
+    fn stamp(&mut self, at: SimTime) -> Due {
         self.seq += 1;
-        QEntry {
+        Due {
             at: at.max(self.now),
             seq: self.seq,
-            ev,
         }
     }
 
     fn push_ev(&mut self, at: SimTime, ev: Ev) {
-        if !ev.is_pulse() {
-            self.non_pulse += 1;
-        }
-        let entry = self.stamp(at, ev);
-        self.queue.push(entry);
+        let due = self.stamp(at);
+        self.queue.push(QEntry { due, ev });
     }
 
     fn app_quiet(&self) -> bool {
@@ -514,7 +525,7 @@ impl World {
         if let ThreadState::Running { core } = self.threads[tid].state {
             self.accrue_running(core);
             self.cores[core].running = None;
-            self.cores[core].gen += 1;
+            self.cores[core].slice_due = None;
             self.threads[tid].last_core = Some(core);
         }
         if count_cs {
@@ -559,14 +570,13 @@ impl World {
             Some(Step::Cpu { ns, .. }) => *ns,
             other => panic!("scheduling thread whose front step is {other:?}"),
         };
+        let slice_end = self.now + self.cfg.timeslice_ns;
+        let due = self.stamp((self.now + remaining).min(slice_end));
         let slot = &mut self.cores[core];
         slot.running = Some(tid);
-        slot.gen += 1;
-        slot.slice_end = self.now + self.cfg.timeslice_ns;
+        slot.slice_end = slice_end;
         slot.accrue_from = self.now;
-        let gen = slot.gen;
-        let boundary = (self.now + remaining).min(slot.slice_end);
-        self.push_ev(boundary, Ev::Core { core, gen });
+        slot.slice_due = Some(due);
     }
 
     fn schedule(&mut self) {
@@ -1010,11 +1020,65 @@ impl World {
 
     // ---- event handlers --------------------------------------------------
 
-    fn handle_core(&mut self, core: usize, gen: u64) {
-        if self.cores[core].gen != gen {
-            return;
+    /// The least `(at, seq)` among the staged-arrival head, the heap top
+    /// and every core's two slots: the event one shared queue would pop.
+    fn next_event(&self) -> Option<(Due, Source)> {
+        let mut next = self
+            .arrivals
+            .front()
+            .map(|&(due, _)| (due, Source::Arrival));
+        let mut offer = |due: Due, source: Source| {
+            if next.is_none_or(|(least, _)| due < least) {
+                next = Some((due, source));
+            }
+        };
+        if let Some(top) = self.queue.peek() {
+            offer(top.due, Source::Heap);
         }
-        let tid = self.cores[core].running.expect("core event without thread");
+        for (core, slot) in self.cores.iter().enumerate() {
+            offer(slot.pulse_due, Source::Pulse(core));
+            if let Some(due) = slot.slice_due {
+                offer(due, Source::Slice(core));
+            }
+        }
+        next
+    }
+
+    /// Fires the event `next_event` named, with the clock already at its
+    /// time.
+    fn fire(&mut self, source: Source) {
+        match source {
+            Source::Arrival => {
+                let (_, req) = self.arrivals.pop_front().expect("an arrival is due");
+                self.handle_arrive(req);
+            }
+            Source::Heap => {
+                let entry = self.queue.pop().expect("a heap entry is due");
+                self.handle(entry.ev);
+            }
+            Source::Pulse(core) => self.handle_pulse(core),
+            Source::Slice(core) => {
+                self.cores[core].slice_due = None;
+                self.handle_slice(core);
+            }
+        }
+    }
+
+    /// Whether the run is in an idle gap: no wake or timer is pending and
+    /// no app thread runs or is ready, so only pulses can fire before the
+    /// next staged arrival (see `idle_gap`).
+    fn idle(&self) -> bool {
+        self.queue.is_empty()
+            && self.cores.iter().all(|slot| slot.slice_due.is_none())
+            && self.ready.iter().all(VecDeque::is_empty)
+    }
+
+    /// The app thread running on `core` reached its segment-or-slice
+    /// boundary (`fire` has already cleared `slice_due`).
+    fn handle_slice(&mut self, core: usize) {
+        let tid = self.cores[core]
+            .running
+            .expect("slice boundary without thread");
         self.accrue_running(core);
         let finished = matches!(
             self.threads[tid]
@@ -1029,7 +1093,6 @@ impl World {
         if let ThreadState::Running { core: c } = self.threads[tid].state {
             debug_assert_eq!(c, core);
             let p = self.prio(tid);
-            let slot = self.cores[core];
             let remaining = match self.threads[tid]
                 .exec
                 .as_ref()
@@ -1038,109 +1101,125 @@ impl World {
                 Some(Step::Cpu { ns, .. }) => *ns,
                 other => panic!("running thread front step is {other:?}"),
             };
-            if self.now >= slot.slice_end && self.contention_for(p) {
+            if self.now >= self.cores[core].slice_end && self.contention_for(p) {
                 self.off_cpu(tid, true);
                 self.threads[tid].state = ThreadState::Ready;
                 self.ready[p as usize].push_back(tid);
                 self.schedule();
             } else {
-                let slot = &mut self.cores[core];
-                if self.now >= slot.slice_end {
-                    slot.slice_end = self.now + self.cfg.timeslice_ns;
+                if self.now >= self.cores[core].slice_end {
+                    self.cores[core].slice_end = self.now + self.cfg.timeslice_ns;
                 }
-                let slice_end = slot.slice_end;
-                let gen = slot.gen;
-                let boundary = (self.now + remaining).min(slice_end);
-                self.push_ev(boundary, Ev::Core { core, gen });
+                let boundary = (self.now + remaining).min(self.cores[core].slice_end);
+                self.cores[core].slice_due = Some(self.stamp(boundary));
             }
         } else {
             self.schedule();
         }
     }
 
-    /// Starts the burst of the pulse pinned to `core` and returns the
-    /// event that ends it. A pulse thread is pinned at the highest
-    /// priority, its burst (~350 µs) is shorter than a slice (10 ms), and
-    /// there is one per core, so nothing can preempt it: the whole burst
-    /// is decided here. One draw from the core's own stream funds the
-    /// burst length and the next wake period. The burst books only kernel
-    /// events — task-clock and cpu-clock now, the context switch at its
-    /// end — since no probe reads a system thread's PMU events. The core
-    /// must be free.
-    fn pulse_wake(&mut self, core: usize) -> (SimTime, Ev) {
+    /// The kworker pinned to `core` reaches its pending event: its burst
+    /// ends if it is running, else it wakes and evicts whatever runs
+    /// there.
+    fn handle_pulse(&mut self, core: usize) {
+        if self.cores[core].in_burst() {
+            self.pulse_end(core);
+            // Freeing a core only matters if some thread is waiting for one.
+            if self.ready.iter().any(|q| !q.is_empty()) {
+                self.schedule();
+            }
+        } else {
+            let evict = self.cores[core].running.is_some();
+            if evict {
+                self.preempt(core);
+            }
+            self.pulse_wake(core);
+            if evict {
+                // The evicted thread may be able to migrate to a free core.
+                self.schedule();
+            }
+        }
+    }
+
+    /// Starts the burst of the pulse pinned to `core` and stamps its end.
+    /// A pulse thread is pinned at the highest priority, its burst
+    /// (~350 µs) is shorter than a slice (10 ms), and there is one per
+    /// core, so nothing can preempt it: the whole burst is decided here.
+    /// One draw from the core's own stream funds the burst length and the
+    /// next wake period. The burst books only kernel events — task-clock
+    /// and cpu-clock now, the context switch at its end — since no probe
+    /// reads a system thread's PMU events. The core must be free.
+    fn pulse_wake(&mut self, core: usize) {
         let slot = &mut self.cores[core];
         let (burst, period) = self.pulse_law.cycle(slot.pulse_rng.next_u64());
         slot.running = Some(slot.pulse_tid);
-        slot.gen += 1;
         slot.pulse_period = period;
         let th = &mut self.threads[slot.pulse_tid];
         th.state = ThreadState::Running { core };
         th.counters.add(HwEvent::TaskClock, burst as f64);
         th.counters.add(HwEvent::CpuClock, burst as f64);
-        (self.now + burst, Ev::PulseEnd { core })
+        self.cores[core].pulse_due = self.stamp(self.now + burst);
     }
 
     /// Ends the burst on `core`: frees the core, counts the pulse's
-    /// context switch, and returns the wake drawn at burst start.
-    fn pulse_end(&mut self, core: usize) -> (SimTime, Ev) {
+    /// context switch, and stamps the wake drawn at burst start.
+    fn pulse_end(&mut self, core: usize) {
         let slot = &mut self.cores[core];
         let tid = slot.pulse_tid;
         debug_assert_eq!(slot.running, Some(tid));
         slot.running = None;
-        slot.gen += 1;
         let period = slot.pulse_period;
         let th = &mut self.threads[tid];
         th.counters.add(HwEvent::ContextSwitches, 1.0);
         th.state = ThreadState::Blocked;
-        (self.now + period, Ev::PulseWake { core })
+        self.cores[core].pulse_due = self.stamp(self.now + period);
     }
 
-    /// Advances an idle gap. With no app event on the heap and nothing
-    /// ready, only pulses can fire before the next staged arrival: a
-    /// running app thread always has a live `Core` event, a thread
-    /// blocked on a timed step a `Wake`, a probe timer a `ProbeTimer`
-    /// (and a stale `Core` keeps the gap closed until it is popped). A
-    /// pulse train draws from its own stream and touches only its own
-    /// core, so each core advances alone, in a tight loop over the same
-    /// cycle law as the heap path, up to the next arrival or the horizon.
-    /// The loop keeps no heap and no stamps; the kworker's clocks and
-    /// context switches are summed as integers and booked once (exact:
-    /// integer-valued f64 sums below 2^53), and the core's generation
-    /// advances by its number of transitions. The entries then go back
-    /// on the heap, re-stamped in the order the heap path would have
-    /// stamped them (see `rewind`), where the run loop takes the
-    /// arrival, or truncates at the horizon, exactly as before.
+    /// Advances an idle gap. With no wake or timer on the heap, no app
+    /// thread running and nothing ready, only pulses can fire before the
+    /// next staged arrival. A pulse train draws from its own stream and
+    /// touches only its own core, so each core advances alone, in a tight
+    /// loop over the same cycle law as `handle_pulse`, up to the next
+    /// arrival or the horizon. The loop keeps no stamps; the kworker's
+    /// clocks and context switches are summed as integers and booked once
+    /// (exact: integer-valued f64 sums below 2^53). Each core that moved
+    /// then gets its `pulse_due` re-stamped in the order one event at a
+    /// time would have stamped it (see `rewind`), and the run loop takes
+    /// the arrival, or truncates at the horizon, exactly as it would
+    /// after firing the gap's pulses one at a time.
     fn idle_gap(&mut self) {
         let horizon = self.cfg.max_sim_ns;
-        let (end_at, end_seq) = match self.arrivals.front() {
-            Some(&(at, seq, _)) if at.as_ns() <= horizon => (at.as_ns(), seq),
-            _ => (horizon, u64::MAX),
+        let gap_end = match self.arrivals.front() {
+            Some(&(due, _)) if due.at.as_ns() <= horizon => due,
+            _ => Due {
+                at: SimTime(horizon),
+                seq: u64::MAX,
+            },
         };
-        // An entry stamped during the run sorts after every staged
-        // arrival at its instant, so past a core's pending entry the gap
+        // An event stamped during the run sorts after every staged
+        // arrival at its instant, so past a core's pending event the gap
         // ends at a plain time.
-        let end = if end_seq == u64::MAX {
+        let end = if gap_end.seq == u64::MAX {
             horizon.saturating_add(1)
         } else {
-            end_at
+            gap_end.at.as_ns()
         };
         let law = self.pulse_law;
-        let mut pulses = std::mem::take(&mut self.queue).into_vec();
-        // `(entry index, events processed)` of each train that moved.
+        // `(core, events processed)` of each train that moved.
         let mut moved = Vec::new();
-        for (i, entry) in pulses.iter_mut().enumerate() {
-            if (entry.at.as_ns(), entry.seq) >= (end_at, end_seq) {
+        for (core, slot) in self.cores.iter_mut().enumerate() {
+            if slot.pulse_due >= gap_end {
                 continue;
             }
-            let Some((core, mut in_burst)) = entry.ev.as_pulse() else {
-                unreachable!("app event {:?} on the heap in an idle gap", entry.ev);
-            };
-            let slot = &mut self.cores[core];
-            debug_assert_eq!(slot.running.is_some(), in_burst, "core {core} out of step");
+            let mut in_burst = slot.in_burst();
+            debug_assert!(
+                in_burst || slot.running.is_none(),
+                "core {core} runs app work in an idle gap"
+            );
             let (mut rng, mut period) = (slot.pulse_rng, slot.pulse_period);
-            let mut t = entry.at.as_ns();
+            let mut t = slot.pulse_due.at.as_ns();
             let (mut steps, mut busy, mut switches) = (0, 0, 0);
-            // The pending entry is due; every later event is due before `end`.
+            // The pending event is due; every later event is due before `end`.
             let last = loop {
                 let due = t;
                 steps += 1;
@@ -1160,8 +1239,8 @@ impl World {
             };
             slot.pulse_rng = rng;
             slot.pulse_period = period;
-            slot.gen += steps;
             slot.running = in_burst.then_some(slot.pulse_tid);
+            slot.pulse_due.at = SimTime(t);
             let th = &mut self.threads[slot.pulse_tid];
             th.state = if in_burst {
                 ThreadState::Running { core }
@@ -1172,38 +1251,31 @@ impl World {
             th.counters.add(HwEvent::CpuClock, busy as f64);
             th.counters.add(HwEvent::ContextSwitches, switches as f64);
             self.now = self.now.max(SimTime(last));
-            entry.at = SimTime(t);
-            entry.ev = if in_burst {
-                Ev::PulseEnd { core }
-            } else {
-                Ev::PulseWake { core }
-            };
-            moved.push((i, steps));
+            moved.push((core, steps));
         }
         moved.sort_unstable_by(|&(a, a_steps), &(b, b_steps)| {
-            self.rewind(&pulses[a], a_steps)
-                .cmp(self.rewind(&pulses[b], b_steps))
+            self.rewind(a, a_steps).cmp(self.rewind(b, b_steps))
         });
-        for (i, _) in moved {
+        for (core, _) in moved {
             self.seq += 1;
-            pulses[i].seq = self.seq;
+            self.cores[core].pulse_due.seq = self.seq;
         }
-        self.queue = BinaryHeap::from(pulses);
     }
 
-    /// The `(at, seq)` keys of the `steps` events the pulse train behind
-    /// `entry` processed in this gap, newest first, recomputed backwards
+    /// The `(at, seq)` keys of the `steps` events the pulse train of
+    /// `core` processed in this gap, newest first, recomputed backwards
     /// from where it stopped. The oldest kept its pre-gap `seq` (still in
-    /// `entry.seq`); the others were stamped in the gap, which the heap
-    /// path does in the order it processes the events before them, so
-    /// they carry `u64::MAX`: compare the next key. Comparing two trains'
-    /// keys newest first therefore orders their survivors as the heap
-    /// path stamps them, ties included.
-    fn rewind(&self, entry: &QEntry, steps: u64) -> impl Iterator<Item = (u64, u64)> {
-        let (core, mut in_burst) = entry.ev.as_pulse().expect("a pulse entry");
+    /// `pulse_due.seq`); the others were stamped in the gap, which one
+    /// event at a time does in the order it fires the events before them,
+    /// so they carry `u64::MAX`: compare the next key. Comparing two
+    /// trains' keys newest first therefore orders their survivors as
+    /// firing one event at a time stamps them, ties included.
+    fn rewind(&self, core: usize, steps: u64) -> impl Iterator<Item = (u64, u64)> {
+        let slot = &self.cores[core];
         let law = self.pulse_law;
-        let mut rng = self.cores[core].pulse_rng;
-        let (mut at, seq) = (entry.at.as_ns(), entry.seq);
+        let mut rng = slot.pulse_rng;
+        let mut in_burst = slot.in_burst();
+        let (mut at, seq) = (slot.pulse_due.at.as_ns(), slot.pulse_due.seq);
         (0..steps).rev().map(move |older| {
             let (burst, period) = law.cycle(rng.last());
             if in_burst {
@@ -1261,7 +1333,6 @@ impl World {
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Core { core, gen } => self.handle_core(core, gen),
             Ev::Wake { tid } => {
                 self.advance_thread(tid);
                 self.schedule();
@@ -1270,27 +1341,6 @@ impl World {
                 self.pending_probe_timers -= 1;
                 self.monitor.timer_fires += 1;
                 self.notices.push(Notice::Timer { probe, token });
-            }
-            Ev::PulseWake { core } => {
-                let evict = self.cores[core].running.is_some();
-                if evict {
-                    self.preempt(core);
-                }
-                let (at, next) = self.pulse_wake(core);
-                self.push_ev(at, next);
-                if evict {
-                    // The evicted thread may be able to migrate to a free core.
-                    self.schedule();
-                }
-            }
-            Ev::PulseEnd { core } => {
-                let (at, next) = self.pulse_end(core);
-                self.push_ev(at, next);
-                // Freeing a core only matters if some thread is waiting
-                // for one.
-                if self.ready.iter().any(|q| !q.is_empty()) {
-                    self.schedule();
-                }
             }
         }
     }
@@ -1485,7 +1535,7 @@ impl Simulator {
     /// reallocates them mid-run.
     pub fn reserve_actions(&mut self, actions: usize) {
         self.world.arrivals.reserve(actions);
-        self.world.queue.reserve(2 * self.world.cfg.cores + 16);
+        self.world.queue.reserve(16);
         self.world.records.reserve(actions);
     }
 
@@ -1497,14 +1547,12 @@ impl Simulator {
         debug_assert!(!self.ran, "schedule_action after run");
         let name = self.world.names.intern(&req.name);
         self.world.pending_arrivals += 1;
-        // Arrivals take a sequence number from the same counter as heap
-        // events so the (at, seq) total order is exactly what a single
-        // shared queue would have produced.
-        let at = at.max(self.world.now);
-        self.world.seq += 1;
+        // Arrivals take a sequence number from the same counter as every
+        // other event so the (at, seq) total order is exactly what a
+        // single shared queue would have produced.
+        let due = self.world.stamp(at);
         self.world.arrivals.push_back((
-            at,
-            self.world.seq,
+            due,
             ArrivedRequest {
                 uid: req.uid,
                 name,
@@ -1514,54 +1562,37 @@ impl Simulator {
     }
 
     /// Runs until all app work (and probe timers) drain, or the horizon
-    /// is hit.
+    /// is hit. A truncated run stops at the horizon: probes' `on_sim_end`
+    /// and [`RunSummary::ended_at`] see `max_sim_ns`.
     pub fn run(&mut self) -> RunSummary {
         debug_assert!(!self.ran, "Simulator::run called twice");
         self.ran = true;
         let mut truncated = false;
         // Arrivals were staged in schedule order; establish (at, seq)
-        // order once so the merge below pops the global minimum.
+        // order once so the head is always the least staged arrival.
         self.world
             .arrivals
             .make_contiguous()
-            .sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+            .sort_unstable_by_key(|&(due, _)| due);
         loop {
             if self.world.app_quiet() {
                 break;
             }
-            if self.world.non_pulse == 0 && self.world.ready.iter().all(VecDeque::is_empty) {
+            if self.world.idle() {
                 self.world.idle_gap();
             }
-            // The next event is the earlier of the staged-arrival head and
-            // the transient-event heap top; (at, seq) is a total order, so
-            // this is exactly the order one shared queue would produce.
-            let take_arrival = match (self.world.arrivals.front(), self.world.queue.peek()) {
-                (Some(&(a_at, a_seq, _)), Some(top)) => (a_at, a_seq) < (top.at, top.seq),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
+            let Some((due, source)) = self.world.next_event() else {
+                break;
             };
-            let at = if take_arrival {
-                self.world.arrivals.front().expect("checked above").0
-            } else {
-                self.world.queue.peek().expect("checked above").at
-            };
-            debug_assert!(at >= self.world.now, "time went backwards");
-            self.world.now = at;
-            if self.world.now.as_ns() > self.world.cfg.max_sim_ns {
+            debug_assert!(due.at >= self.world.now, "time went backwards");
+            if due.at.as_ns() > self.world.cfg.max_sim_ns {
+                // Whatever lies past the horizon, the run ends on it.
+                self.world.now = SimTime(self.world.cfg.max_sim_ns);
                 truncated = true;
                 break;
             }
-            if take_arrival {
-                let (_, _, req) = self.world.arrivals.pop_front().expect("checked above");
-                self.world.handle_arrive(req);
-            } else {
-                let entry = self.world.queue.pop().expect("checked above");
-                if !entry.ev.is_pulse() {
-                    self.world.non_pulse -= 1;
-                }
-                self.world.handle(entry.ev);
-            }
+            self.world.now = due.at;
+            self.world.fire(source);
             if !self.world.notices.is_empty() {
                 self.drain_notices();
             }
@@ -2080,37 +2111,45 @@ mod tests {
     }
 
     /// Stages an empty action at `at`, as `schedule_action` would.
-    fn stage_arrival(world: &mut World, at: SimTime) -> (SimTime, u64) {
-        world.seq += 1;
+    fn stage_arrival(world: &mut World, at: SimTime) -> Due {
+        let due = world.stamp(at);
         let name = world.names.intern("gap");
-        let events = Vec::new();
-        let (uid, seq) = (ActionUid(0), world.seq);
+        let (uid, events) = (ActionUid(0), Vec::new());
         world
             .arrivals
-            .push_back((at, seq, ArrivedRequest { uid, name, events }));
-        (at, seq)
+            .push_back((due, ArrivedRequest { uid, name, events }));
+        due
     }
 
-    /// What the run loop does without `idle_gap`: pops and handles every
-    /// pulse before `end`.
-    fn heap_gap(world: &mut World, end: (SimTime, u64)) {
-        while let Some(top) = world.queue.peek() {
-            if (top.at, top.seq) >= end {
+    /// What the run loop does without `idle_gap`: fires the least event,
+    /// one at a time, while it is before `end` (in a gap every such event
+    /// is a core's `pulse_due`).
+    fn one_at_a_time(world: &mut World, end: Due) {
+        while let Some((due, source)) = world.next_event() {
+            if due >= end {
                 break;
             }
-            let entry = world.queue.pop().expect("peeked");
-            world.now = entry.at;
-            world.handle(entry.ev);
+            assert!(matches!(source, Source::Pulse(_)), "{source:?} in a gap");
+            world.now = due.at;
+            world.fire(source);
         }
     }
 
     /// Everything a gap can move: clock, core slots, kworker banks and
-    /// states, the world stream's next draw, and the heap in pop order
-    /// (sequence numbers differ between the paths; their order may not).
+    /// states, and the world stream's next draw. Sequence numbers differ
+    /// between the paths, their order may not: each `pulse_due.seq` is
+    /// replaced by its rank in `(at, seq)` order.
     fn gap_state(world: &mut World) -> String {
-        let mut out = format!("{:?} {:?}", world.now, world.cores);
-        for core in 0..world.cores.len() {
-            let th = &world.threads[world.cores[core].pulse_tid];
+        assert!(world.queue.is_empty(), "a gap leaves the heap empty");
+        let mut cores = world.cores.clone();
+        let mut order: Vec<usize> = (0..cores.len()).collect();
+        order.sort_by_key(|&core| cores[core].pulse_due);
+        for (rank, core) in order.into_iter().enumerate() {
+            cores[core].pulse_due.seq = rank as u64;
+        }
+        let mut out = format!("{:?} {:?}", world.now, cores);
+        for slot in &world.cores {
+            let th = &world.threads[slot.pulse_tid];
             let bank = &th.counters;
             out += &format!(
                 " {:?} {} {} {}",
@@ -2121,9 +2160,6 @@ mod tests {
             );
         }
         out += &format!(" rng {}", world.rng.next_u64());
-        while let Some(e) = world.queue.pop() {
-            out += &format!(" {:?}@{}", e.ev, e.at.as_ns());
-        }
         out
     }
 
@@ -2142,15 +2178,14 @@ mod tests {
                 // ties on every core, and only the pre-run sequence numbers,
                 // reversed here against core order, order them.
                 let rng = w.cores[0].pulse_rng;
-                let mut entries = std::mem::take(&mut w.queue).into_vec();
-                let first = entries.iter().map(|e| e.at).min().expect("pulses");
-                for e in &mut entries {
-                    let core = e.ev.as_pulse().expect("pulse").0;
-                    e.at = first;
-                    e.seq = (cores - core) as u64;
-                    w.cores[core].pulse_rng = rng;
+                let first = w.cores.iter().map(|c| c.pulse_due.at).min();
+                for (core, slot) in w.cores.iter_mut().enumerate() {
+                    slot.pulse_due = Due {
+                        at: first.expect("cores"),
+                        seq: (cores - core) as u64,
+                    };
+                    slot.pulse_rng = rng;
                 }
-                w.queue = BinaryHeap::from(entries);
             }
             w
         };
@@ -2163,10 +2198,10 @@ mod tests {
                     let mut probe = world(cores, seed, tied, u64::MAX);
                     let mut times = Vec::new();
                     while times.len() < 2_000 {
-                        let entry = probe.queue.pop().expect("pulses");
-                        probe.now = entry.at;
-                        probe.handle(entry.ev);
-                        times.push(entry.at);
+                        let (due, source) = probe.next_event().expect("pulses");
+                        probe.now = due.at;
+                        probe.fire(source);
+                        times.push(due.at);
                     }
                     let ends = [
                         times[0],
@@ -2179,30 +2214,94 @@ mod tests {
                     ];
                     for at in ends {
                         let label = format!("{cores} cores, seed {seed}, tied {tied}, end {at:?}");
-                        let (mut heap, mut idle) = (
+                        let (mut one, mut idle) = (
                             world(cores, seed, tied, u64::MAX),
                             world(cores, seed, tied, u64::MAX),
                         );
-                        let end = stage_arrival(&mut heap, at);
+                        let end = stage_arrival(&mut one, at);
                         stage_arrival(&mut idle, at);
-                        heap_gap(&mut heap, end);
+                        one_at_a_time(&mut one, end);
                         idle.idle_gap();
-                        assert_eq!(gap_state(&mut heap), gap_state(&mut idle), "{label}");
+                        assert_eq!(gap_state(&mut one), gap_state(&mut idle), "{label}");
                         // The horizon ends a gap just past it.
-                        let (mut heap, mut idle) = (
+                        let (mut one, mut idle) = (
                             world(cores, seed, tied, at.as_ns()),
                             world(cores, seed, tied, at.as_ns()),
                         );
-                        heap_gap(&mut heap, (at, u64::MAX));
+                        let horizon = Due { at, seq: u64::MAX };
+                        one_at_a_time(&mut one, horizon);
                         idle.idle_gap();
                         assert_eq!(
-                            gap_state(&mut heap),
+                            gap_state(&mut one),
                             gap_state(&mut idle),
                             "{label} (horizon)"
                         );
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tied_slice_and_pulse_fire_in_stamp_order() {
+        // A worker's CPU step ends at the very instant the kworker on its
+        // core wakes. Whichever event was stamped first fires first, as
+        // it would pop first off one shared heap. Slice first: the worker
+        // accrues its step and parks before the pulse wakes on a free
+        // core. Pulse first: the pulse evicts the worker (one more context
+        // switch) with its step accrued but not retired, and the worker
+        // retires it only after the burst.
+        let step_ns = 3 * MILLIS;
+        for slice_first in [true, false] {
+            let cfg = SimConfig {
+                cores: 1,
+                ..SimConfig::default()
+            };
+            let mut w = World::new(cfg, Arc::new(FrameTable::new()));
+            let worker = w.worker_tids[0];
+            let steps = vec![Step::Cpu {
+                ns: step_ns,
+                profile: MemProfile::compute(),
+            }];
+            w.threads[worker].exec =
+                Some(ExecState::new(steps, WorkItem::WorkerTask, SimTime::ZERO));
+            if !slice_first {
+                w.cores[0].pulse_due = w.stamp(SimTime(step_ns));
+            }
+            w.start_run(worker, 0);
+            if slice_first {
+                w.cores[0].pulse_due = w.stamp(SimTime(step_ns));
+            }
+            let (slice, pulse) = (w.cores[0].slice_due.expect("running"), w.cores[0].pulse_due);
+            assert_eq!(slice.at, pulse.at, "the two events tie");
+            assert_eq!(slice.seq < pulse.seq, slice_first);
+            let mut fired = Vec::new();
+            while w.threads[worker].exec.is_some() {
+                let (due, source) = w.next_event().expect("events");
+                w.now = due.at;
+                w.fire(source);
+                fired.push((due.at.as_ns(), source));
+            }
+            let bank = &w.threads[worker].counters;
+            assert_eq!(bank.get(HwEvent::TaskClock), step_ns as f64);
+            let (retired, switches) = (w.now.as_ns(), bank.get(HwEvent::ContextSwitches));
+            if slice_first {
+                assert_eq!(fired, [(step_ns, Source::Slice(0))]);
+                assert_eq!((retired, switches), (step_ns, 1.0));
+                assert!(w.cores[0].running.is_none());
+            } else {
+                let burst_end = w.cores[0].pulse_due.at.as_ns() - w.cores[0].pulse_period;
+                assert_eq!(
+                    fired,
+                    [
+                        (step_ns, Source::Pulse(0)),
+                        (burst_end, Source::Pulse(0)),
+                        (burst_end, Source::Slice(0)),
+                    ]
+                );
+                assert_eq!((retired, switches), (burst_end, 2.0));
+            }
+            assert_eq!(w.threads[worker].state, ThreadState::Waiting);
         }
     }
 

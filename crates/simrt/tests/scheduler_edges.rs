@@ -332,9 +332,9 @@ fn kworker_words(ctx: &mut ProbeCtx<'_>, kworkers: &[ThreadId]) -> Vec<u64> {
 }
 
 /// Keeps a probe timer armed from the first action's begin through
-/// `until` (the last arrival), so the heap never holds pulses alone and
-/// the idle loop never runs: every gap takes the heap path. It touches
-/// no counter and no random stream.
+/// `until` (the last arrival), so the heap is never empty and the idle
+/// loop never runs: every gap fires its pulses one event at a time. It
+/// touches no counter and no random stream.
 struct KeepAlive {
     until: SimTime,
     armed: bool,
@@ -365,7 +365,7 @@ impl Probe for KeepAlive {
 fn idle_gaps_keep_the_pulse_schedule() {
     // Between actions only the per-core system pulses run, and the idle
     // loop advances them. Each case runs twice: as is, and with a
-    // `KeepAlive` probe that keeps the heap path on through every gap.
+    // `KeepAlive` probe that keeps the idle loop off through every gap.
     // At each action's begin the probe records where the gap left the
     // clock, one draw of the world stream (it moves if a gap consumed a
     // draw), main's kernel counters and every kworker's; after the run,
@@ -503,8 +503,8 @@ fn idle_gaps_keep_the_pulse_schedule() {
         let mut words = words.take();
         let per_begin = 4 + 3 * cores;
         assert_eq!(words.len(), n * per_begin, "one record per action begin");
-        // No pulse fired before the boot action, so with `KeepAlive` the
-        // heap path ran every pulse.
+        // No pulse fired before the boot action, so with `KeepAlive` every
+        // pulse fired one event at a time.
         assert!(words[4..per_begin].iter().all(|&w| w == 0));
         let main = sim.main_tid();
         words.extend(HwEvent::ALL.map(|e| sim.thread_counter(main, e).to_bits()));
@@ -521,8 +521,8 @@ fn idle_gaps_keep_the_pulse_schedule() {
     };
     for cores in [2, 4, 8] {
         for seed in [7, 42] {
-            let (idle, heap) = (run(cores, seed, false), run(cores, seed, true));
-            assert_eq!(idle, heap, "{cores} cores, seed {seed}");
+            let (idle, stepped) = (run(cores, seed, false), run(cores, seed, true));
+            assert_eq!(idle, stepped, "{cores} cores, seed {seed}");
         }
     }
 }
@@ -629,6 +629,59 @@ fn pulse_train_is_a_function_of_seed_and_core() {
                     "{cores} cores, seed {seed}: [timer, now, kworker clocks]"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn a_truncated_run_stops_at_the_horizon() {
+    // The horizon cuts a long CPU step short. The run ends at the horizon
+    // itself, not at whichever event lay past it, and a probe reading
+    // main's task-clock at the end sees no CPU time beyond the horizon.
+    struct EndReader(Rc<RefCell<Option<(SimTime, f64)>>>);
+    impl Probe for EndReader {
+        fn on_sim_end(&mut self, ctx: &mut ProbeCtx<'_>) {
+            let main = ctx.main_tid();
+            let clock = ctx.counter(main, HwEvent::TaskClock);
+            *self.0.borrow_mut() = Some((ctx.now(), clock));
+        }
+    }
+    let arrival = SimTime::from_ms(10);
+    for cores in [1, 2] {
+        for k in 0..40u64 {
+            let horizon = arrival.as_ns() + 2 * MILLIS + k * 3_137_777;
+            let (t, f) = table_with_frames();
+            let mut sim = Simulator::new(
+                SimConfig {
+                    cores,
+                    max_sim_ns: horizon,
+                    ..SimConfig::default()
+                },
+                t,
+            );
+            sim.schedule_action(
+                arrival,
+                ActionRequest {
+                    uid: ActionUid(1),
+                    name: "long".into(),
+                    events: vec![vec![Step::Push(f), cpu(400), Step::Pop]],
+                },
+            );
+            let end = Rc::new(RefCell::new(None));
+            sim.add_probe(Box::new(EndReader(end.clone())));
+            let summary = sim.run();
+            let label = format!("{cores} cores, horizon {horizon}");
+            assert!(summary.truncated, "{label}");
+            assert_eq!(summary.actions_completed, 0, "{label}");
+            assert_eq!(summary.ended_at, SimTime(horizon), "{label}");
+            let (now, clock) = end.take().expect("on_sim_end ran");
+            assert_eq!(now, SimTime(horizon), "{label}");
+            assert!(clock > 0.0, "{label}");
+            assert!(
+                clock <= (horizon - arrival.as_ns()) as f64,
+                "{label}: main ran {clock} ns of {} ns",
+                horizon - arrival.as_ns()
+            );
         }
     }
 }
