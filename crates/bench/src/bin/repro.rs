@@ -1,6 +1,6 @@
 //! Command-line driver regenerating every table and figure of the
-//! Hang Doctor evaluation, plus the differentials, benches, telemetry
-//! and control commands around it.
+//! Hang Doctor evaluation, plus the differentials, telemetry and control
+//! commands around it.
 //!
 //! ```text
 //! repro [options] <command>...
@@ -11,8 +11,8 @@
 //! [`FLAGS`]; `repro --help` prints the usage generated from both, and
 //! options may appear anywhere on the line. A differential command
 //! emits one `hang-doctor/differential/v1` artifact and exits nonzero
-//! when any of its invariants fails; a bench command writes its
-//! `BENCH_*.json` snapshot (`--json PATH` overrides the file).
+//! when any of its invariants fails. Performance is measured by the
+//! separate `perfbench` workspace, not by `repro`.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
@@ -34,10 +34,10 @@ const FLAGS: &str = "\
 --quick      -          -               shrink trace lengths: seconds instead of minutes
 --full       -          -               table5 over the whole 114-app corpus
 --chaos      RATE       -               inject deterministic faults at RATE: observation faults
-                                        into fleet/bench-summary, transport faults with
-                                        --telemetry/upload/cluster (plus node crashes),
-                                        control-frame faults into control/push-thresholds/
-                                        control-diff; the chaos differential's rate (0.05)
+                                        into fleet, transport faults with --telemetry/upload/
+                                        cluster (plus node crashes), control-frame faults into
+                                        control/push-thresholds/control-diff; the chaos
+                                        differential's rate (0.05)
 --json       [PATH]     -               print results as JSON, or write them to PATH
 --devices    N          8               devices per app in the fleet commands
 --threads    N          1               fleet workers; sast scan shards (same bytes at any N)
@@ -174,16 +174,13 @@ const COMMANDS: &[Command] = &[
         let r = sast::precision_differential(o.seed(), o.sizes().0, 2017).run();
         finish(o, &r, sast::render_precision(&r), None)
     }),
-    ("sast-bench", false, "scan thread sweep -> BENCH_sast.json", sast_bench),
     ("async-diff", false, "differential: causal vs join-site blame", |o| {
         let r = async_diff::differential(o.seed(), o.sizes().0, 2017).run();
         finish(o, &r, async_diff::render(&r), None)
     }),
     ("fleet", false, "study fleet (--telemetry: loopback differential)", fleet),
-    ("bench-summary", false, "fleet thread sweep -> BENCH_fleet.json", bench_summary),
     ("serve", false, "ingestion server, until a shutdown frame", serve),
     ("upload", false, "upload the fleet to --addr, query the top N", upload),
-    ("telemetry-bench", false, "ingest bench -> BENCH_telemetry.json", telemetry_bench),
     ("cluster", false, "differential: N-node fold vs one store", cluster),
     ("replay", false, "fold the WALs under --wal DIR offline", replay),
     ("control", false, "probe a live server's control plane", probe),
@@ -191,11 +188,6 @@ const COMMANDS: &[Command] = &[
     ("control-diff", false, "differential: pushed vs local thresholds", |o| {
         let r = control::differential(o.seed(), o.chaos().unwrap_or(0.0)).run();
         finish(o, &r, control::render(&r), Some("CONTROL_differential.json"))
-    }),
-    ("control-bench", false, "control under ingest -> BENCH_control.json", |o| {
-        let (batches, reports) = if o.on("quick") { (64, 16) } else { (256, 32) };
-        let bench = control::run_control_bench(2, batches, reports);
-        write_artifact(o, "BENCH_control.json", &bench, bench.render())
     }),
 ];
 
@@ -261,22 +253,9 @@ fn emit<T: Serialize>(o: &Opts, value: &T, text: String) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes an artifact to the `--json` path, else `default`.
-fn write_artifact<T: Serialize>(
-    o: &Opts,
-    default: &str,
-    v: &T,
-    text: String,
-) -> Result<(), String> {
-    let path = o.raw("json").filter(|p| !p.is_empty()).unwrap_or(default);
-    std::fs::write(path, to_json(v) + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}: {text}");
-    Ok(())
-}
-
 /// Every differential command's ending: its text closed by the verdict
-/// line, its artifact (emitted like any result, or written to `file`),
-/// then its invariants as the exit status.
+/// line, its artifact (emitted like any result, or written to the
+/// `--json` path, else `file`), then its invariants as the exit status.
 fn finish(
     o: &Opts,
     r: &DifferentialReport,
@@ -285,7 +264,12 @@ fn finish(
 ) -> Result<(), String> {
     let text = format!("{text}\n{}", r.verdict());
     match file {
-        Some(default) => write_artifact(o, default, &r.artifact(), text)?,
+        Some(default) => {
+            let path = o.raw("json").filter(|p| !p.is_empty()).unwrap_or(default);
+            std::fs::write(path, to_json(&r.artifact()) + "\n")
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            println!("wrote {path}: {text}");
+        }
         None => emit(o, &r.artifact(), text)?,
     }
     r.gate()
@@ -328,25 +312,6 @@ fn table5(o: &Opts) -> Result<(), String> {
     }
 }
 
-fn sast_bench(o: &Opts) -> Result<(), String> {
-    // --quick trims the replica count so CI stays fast.
-    let (sweep, replicas) = match o.on("quick") {
-        true => (&[1usize, 2, 4][..], 200),
-        false => (&[1usize, 2, 4, 8, 16][..], 400),
-    };
-    let bench = sast::run_bench(o.seed(), sweep, replicas);
-    write_artifact(o, "BENCH_sast.json", &bench, sast::render_bench(&bench))
-}
-
-fn telemetry_bench(o: &Opts) -> Result<(), String> {
-    let mut spec = ingest::BenchSpec::default();
-    if o.on("quick") {
-        spec.batches_per_client = 16;
-    }
-    let bench = ingest::run_telemetry_bench(&spec);
-    write_artifact(o, "BENCH_telemetry.json", &bench, bench.render())
-}
-
 fn ablations(o: &Opts) -> Result<(), String> {
     let ((small, mid, _), seed) = (o.sizes(), o.seed());
     show!(o, ablation::phase2_only(seed, mid))?;
@@ -382,86 +347,6 @@ fn cluster(o: &Opts) -> Result<(), String> {
     let (net, seed, top) = (net_config(o), spec.root_seed, o.get("top"));
     let r = telemetry::cluster_differential(&jobs, nodes, net, seed, top, &crash).run();
     finish(o, &r, telemetry::render_cluster(&r), None)
-}
-
-/// The fleet-throughput reference before the hot-loop campaigns,
-/// device-hours per wall second on the quick-fleet workload;
-/// `BENCH_fleet.json` tracks the multiple.
-const FLEET_BASELINE: f64 = 1.67;
-
-/// Back-to-back `run_fleet` calls behind each `bench-summary` row. A
-/// quick-fleet run takes ~5–20 ms, so one draw of the host's noise can
-/// move it by half; the row keeps the fastest.
-const BENCH_RUNS_PER_ROW: usize = 7;
-
-/// ns per `MemProfile::accrue` call, timed directly so the bench
-/// artifact carries the kernel floor rather than inferring it from
-/// fleet wall time.
-fn accrue_ns(profile: &hd_simrt::MemProfile) -> f64 {
-    let mut bank = hd_simrt::CounterBank::new();
-    let mut rng = hd_simrt::SimRng::seed_from_u64(7);
-    // Warm up, then time a fixed batch; 200k calls keep the whole
-    // measurement under ~10 ms.
-    for _ in 0..10_000 {
-        profile.accrue(&mut bank, 50_000, &mut rng);
-    }
-    let calls = 200_000u32;
-    let started = std::time::Instant::now();
-    for _ in 0..calls {
-        profile.accrue(&mut bank, 50_000, &mut rng);
-    }
-    let elapsed = started.elapsed();
-    std::hint::black_box(&bank);
-    elapsed.as_nanos() as f64 / calls as f64
-}
-
-fn bench_summary(o: &Opts) -> Result<(), String> {
-    // The sweep: the same workload at 1/2/4/8/16 threads plus the
-    // accrual-kernel microbenchmark, so one artifact carries the serial
-    // floor, the scaling curve, and the kernel cost.
-    let accrue = hd_fleet::AccrueBench {
-        ui_ns_per_call: accrue_ns(&hd_simrt::MemProfile::ui()),
-        memory_heavy_ns_per_call: accrue_ns(&hd_simrt::MemProfile::memory_heavy()),
-    };
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4, 8, 16] {
-        let spec = hd_fleet::FleetSpec {
-            threads,
-            ..study_spec(o)
-        };
-        let runs: Vec<_> = (0..BENCH_RUNS_PER_ROW)
-            .map(|_| hd_fleet::run_fleet(&spec))
-            .collect();
-        let merged = to_json(&runs[0].merged);
-        if runs.iter().any(|r| to_json(&r.merged) != merged) {
-            return Err(format!("{threads}-thread fleet runs merged differently"));
-        }
-        let rate = |r: &&hd_fleet::FleetReport| r.timing.device_hours_per_wall_second;
-        let fastest = runs
-            .iter()
-            .max_by(|a, b| rate(a).total_cmp(&rate(b)))
-            .expect("at least one run");
-        rows.push(fastest.bench_row());
-    }
-    let workload = format!(
-        "table5 study corpus, {} devices/app, executions {}, seed {}{}",
-        o.get::<u32>("devices"),
-        if o.on("quick") { 2 } else { 4 },
-        o.seed(),
-        if o.chaos().is_some() { ", chaos" } else { "" },
-    );
-    let b = hd_fleet::FleetBench::new(&workload, FLEET_BASELINE, BENCH_RUNS_PER_ROW, accrue, rows);
-    let best = b.best_device_hours_per_wall_second;
-    let text = format!(
-        "best {best:.2} device-hours/s over {} thread counts (fastest of \
-         {BENCH_RUNS_PER_ROW} runs each; {:.1}x the {FLEET_BASELINE:.2} baseline); \
-         accrue ui {:.1} ns, memory-heavy {:.1} ns",
-        b.rows.len(),
-        best / FLEET_BASELINE,
-        b.accrue.ui_ns_per_call,
-        b.accrue.memory_heavy_ns_per_call,
-    );
-    write_artifact(o, "BENCH_fleet.json", &b, text)
 }
 
 fn serve(o: &Opts) -> Result<(), String> {

@@ -1,6 +1,5 @@
-//! Control-plane differential and load bench.
-//!
-//! ## The differential (`CONTROL_differential.json`)
+//! Control-plane differential (`CONTROL_differential.json`) and the
+//! live-server probe and push commands.
 //!
 //! The whole point of the control plane is that a threshold pushed over
 //! the wire is *the same configuration* as one a developer bakes into
@@ -19,49 +18,19 @@
 //! delays, and duplicates frames ([`CtrlFaultConfig::chaos`]): its
 //! resend/absorb recovery plus the controller's idempotent request
 //! semantics must deliver the byte-identical outcome anyway.
-//!
-//! ## The bench (`BENCH_control.json`)
-//!
-//! Control traffic rides the same sockets and I/O workers as ingest, so
-//! it must not cost ingest its throughput guard. The bench runs the
-//! `BENCH_telemetry.json` pipelined upload workload twice in the same
-//! process — once alone, once with a concurrent [`ControlClient`]
-//! probing state in a tight loop — and records the control round-trip
-//! percentiles plus the ingest *retention* (with-control rate over
-//! ingest-only rate), guarded by [`INGEST_RETENTION_FLOOR`]. The ratio
-//! is what transfers across machines; the committed absolute snapshot
-//! ([`INGEST_SNAPSHOT_REPORTS_PER_SEC`]) rides along for context.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread;
-use std::time::{Duration, Instant};
 
 use hangdoctor::{FaultConfig, HangDoctorConfig, SymptomThresholds};
-use hd_control::{CohortHealth, ControlAgent, RolloutSpec, RolloutStage, SyncReport};
+use hd_control::{ControlAgent, RolloutSpec, RolloutStage};
 use hd_faults::CtrlFaultConfig;
 use hd_fleet::{run_fleet_with_reports_overridden, DeviceOverride, FleetSpec};
-use hd_metrics::percentile_u64;
-use hd_telemetry::{ControlClient, TelemetryError, TelemetryServer, Uploader};
+use hd_telemetry::{ControlClient, TelemetryError, TelemetryServer};
 use serde::{Deserialize, Serialize};
 
 use crate::common::{trio, trio_fleet};
 use crate::differential::{Arm, Differential, DifferentialReport};
-use crate::ingest::{pipelined_client, synthetic_frames};
-
-/// Schema tag of `BENCH_control.json`.
-pub const CONTROL_BENCH_SCHEMA: &str = "hang-doctor/control-bench/v1";
-
-/// The committed `BENCH_telemetry.json` ingest snapshot the control
-/// bench is contextualized against, reports per second.
-pub const INGEST_SNAPSHOT_REPORTS_PER_SEC: f64 = 110_000.0;
-
-/// Fraction of the same-process ingest-only rate the with-control leg
-/// must retain. A ratio guard, not an absolute one: CI runners and dev
-/// boxes differ wildly in absolute throughput, but control traffic
-/// stealing more than this much ingest is a regression anywhere.
-pub const INGEST_RETENTION_FLOOR: f64 = 0.80;
 
 /// The retrained thresholds the differential pushes: a
 /// stricter-precision filter than the paper default (every counter cut
@@ -223,179 +192,6 @@ pub fn render(r: &DifferentialReport) -> String {
         pushed.count("resends"),
         pushed.count("duplicates-absorbed"),
     )
-}
-
-/// Machine-readable result of one control-under-ingest-load run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ControlBench {
-    /// Schema tag, bumped on incompatible changes.
-    pub schema: String,
-    /// Concurrent pipelined uploader threads.
-    pub clients: usize,
-    /// Batches each uploader delivered.
-    pub batches_per_client: usize,
-    /// Reports packed into each batch.
-    pub reports_per_batch: usize,
-    /// Control round trips completed while ingest ran.
-    pub control_round_trips: u64,
-    /// Median control round-trip latency, µs.
-    pub control_p50_us: u64,
-    /// 99th-percentile control round-trip latency, µs.
-    pub control_p99_us: u64,
-    /// Hang reports ingested during the measured window.
-    pub ingest_reports: u64,
-    /// With-control ingest wall time, ms.
-    pub wall_ms: u64,
-    /// Ingest throughput of the same workload with **no** control
-    /// traffic, measured first in the same process — the baseline leg.
-    pub ingest_only_reports_per_second: f64,
-    /// Ingest throughput achieved *while* control probing ran.
-    pub ingest_reports_per_second: f64,
-    /// `ingest_reports_per_second / ingest_only_reports_per_second`.
-    pub ingest_retention: f64,
-    /// The retention floor this bench is held to.
-    pub retention_floor: f64,
-    /// Whether the with-control leg cleared the retention floor.
-    pub guard_met: bool,
-    /// The committed absolute ingest snapshot, for context.
-    pub ingest_snapshot_reference: f64,
-}
-
-impl ControlBench {
-    /// Renders a human-readable summary line.
-    pub fn render(&self) -> String {
-        format!(
-            "control bench: {} uploaders × {} batches × {} reports alongside {} control \
-             round trips — control p50 {} µs p99 {} µs; ingest {:.0} reports/s alone, \
-             {:.0} with control ({:.0}% retained, floor {:.0}%: {})",
-            self.clients,
-            self.batches_per_client,
-            self.reports_per_batch,
-            self.control_round_trips,
-            self.control_p50_us,
-            self.control_p99_us,
-            self.ingest_only_reports_per_second,
-            self.ingest_reports_per_second,
-            self.ingest_retention * 100.0,
-            self.retention_floor * 100.0,
-            if self.guard_met { "met" } else { "MISSED" },
-        )
-    }
-}
-
-/// One bench leg against a fresh loopback server: the full pipelined
-/// upload workload, with concurrent control probing when `probe` is
-/// set. Returns `(reports ingested, wall, control latencies µs)`.
-fn ingest_leg(frames: &[Vec<Vec<u8>>], probe: bool) -> (u64, Duration, Vec<u64>) {
-    let server = TelemetryServer::builder()
-        .addr("127.0.0.1:0")
-        .shards(4)
-        .io_workers(2)
-        .start()
-        .expect("bind loopback bench server");
-    let addr = server.local_addr();
-
-    // Seed one device's state so the probes exercise a real lookup.
-    let mut ctl = ControlClient::connect(addr);
-    if probe {
-        ctl.sync(SyncReport {
-            device: 1,
-            app: "bench-app-1".to_string(),
-            states: vec![],
-            stack: None,
-            health: CohortHealth::default(),
-        })
-        .expect("seed control state");
-    }
-
-    let ingest_done = AtomicBool::new(false);
-    let started = Instant::now();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut wall = Duration::ZERO;
-    thread::scope(|scope| {
-        let handles: Vec<_> = frames
-            .iter()
-            .map(|frames| scope.spawn(|| pipelined_client(addr, frames, 32)))
-            .collect();
-        // Probe until ingest drains: alternate a state query and a
-        // device sync, the two hot control verbs.
-        let mut i = 0u64;
-        while probe && !ingest_done.load(Ordering::Relaxed) {
-            let probe_start = Instant::now();
-            if i.is_multiple_of(2) {
-                ctl.query_state(1).expect("probe query");
-            } else {
-                ctl.sync(SyncReport {
-                    device: 1,
-                    app: "bench-app-1".to_string(),
-                    states: vec![],
-                    stack: None,
-                    health: CohortHealth::default(),
-                })
-                .expect("probe sync");
-            }
-            latencies.push(probe_start.elapsed().as_micros() as u64);
-            i += 1;
-            if handles.iter().all(|h| h.is_finished()) {
-                ingest_done.store(true, Ordering::Relaxed);
-            }
-        }
-        for h in handles {
-            h.join().expect("bench uploader");
-        }
-        wall = started.elapsed();
-    });
-    drop(ctl);
-
-    let mut shutdown = Uploader::plain(addr);
-    shutdown.shutdown().expect("bench shutdown");
-    let stats = server.join();
-    (stats.ingest.reports_ingested, wall, latencies)
-}
-
-/// Runs the control-under-load bench: the identical pipelined ingest
-/// workload twice — once alone (the baseline leg), once with a
-/// concurrent control client probing in a tight loop — and guards the
-/// with-control leg's ingest retention.
-pub fn run_control_bench(
-    clients: usize,
-    batches_per_client: usize,
-    reports_per_batch: usize,
-) -> ControlBench {
-    let frames = synthetic_frames(clients, batches_per_client, reports_per_batch);
-
-    // Best-of-3 per leg: on small or contended machines a single run's
-    // wall time is dominated by scheduler noise; the minimum wall is
-    // the honest capacity estimate for both legs.
-    let baseline_wall = (0..3)
-        .map(|_| ingest_leg(&frames, false).1)
-        .min()
-        .expect("three baseline legs");
-    let (reports, wall, latencies) = (0..3)
-        .map(|_| ingest_leg(&frames, true))
-        .min_by_key(|(_, wall, _)| *wall)
-        .expect("three control legs");
-
-    let baseline_rate = reports as f64 / baseline_wall.as_secs_f64().max(1e-9);
-    let rate = reports as f64 / wall.as_secs_f64().max(1e-9);
-    let retention = rate / baseline_rate.max(1e-9);
-    ControlBench {
-        schema: CONTROL_BENCH_SCHEMA.to_string(),
-        clients,
-        batches_per_client,
-        reports_per_batch,
-        control_round_trips: latencies.len() as u64,
-        control_p50_us: percentile_u64(&latencies, 50.0),
-        control_p99_us: percentile_u64(&latencies, 99.0),
-        ingest_reports: reports,
-        wall_ms: wall.as_millis() as u64,
-        ingest_only_reports_per_second: baseline_rate,
-        ingest_reports_per_second: rate,
-        ingest_retention: retention,
-        retention_floor: INGEST_RETENTION_FLOOR,
-        guard_met: retention >= INGEST_RETENTION_FLOOR,
-        ingest_snapshot_reference: INGEST_SNAPSHOT_REPORTS_PER_SEC,
-    }
 }
 
 /// Machine-readable result of one live-probe session (`repro control`).
@@ -635,7 +431,7 @@ pub fn run_push_thresholds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_control::{device_bucket, ControlRequest, ControlResponse};
+    use hd_control::{device_bucket, CohortHealth, ControlRequest, ControlResponse, SyncReport};
     use hd_faults::FaultCategory;
 
     #[test]
@@ -786,17 +582,5 @@ mod tests {
         let mut ctl = ControlClient::connect(addr);
         ctl.shutdown().expect("server shutdown");
         server.join();
-    }
-
-    #[test]
-    fn control_bench_probes_while_ingest_runs() {
-        let bench = run_control_bench(2, 16, 4);
-        assert_eq!(bench.schema, CONTROL_BENCH_SCHEMA);
-        assert!(bench.control_round_trips > 0);
-        assert!(bench.control_p99_us >= bench.control_p50_us);
-        assert_eq!(bench.ingest_reports, 2 * 16 * 4);
-        assert!(bench.ingest_only_reports_per_second > 0.0);
-        assert!(bench.ingest_retention > 0.0);
-        assert_eq!(bench.retention_floor, INGEST_RETENTION_FLOOR);
     }
 }

@@ -24,7 +24,7 @@
 //! [`ablation`] adds studies of the design choices (phase-2-only,
 //! single-counter filters, begin-of-action sampling, threshold and
 //! sampling-period sweeps). [`sast`] runs the interprocedural static
-//! analyzer over the corpus and benches the parallel scanner.
+//! analyzer over the corpus.
 //!
 //! Every arm-vs-arm comparison runs on one [`differential`] runner —
 //! arms are closures yielding scored outcomes, invariants are named
@@ -47,10 +47,10 @@
 //!   aggregation, and the N-node fold vs one store across
 //!   kill-and-restart: byte-identical.
 //!
-//! [`ingest`] is the loopback ingest benchmark behind
-//! `BENCH_telemetry.json` and the one pipelined upload loop; [`control`]
-//! runs that loop to bench control round trips under full ingest load.
 //! The `repro` binary drives everything from one command table.
+//! Performance is measured elsewhere: the `perfbench` workspace times
+//! the fleet, ingest, query and scan paths end to end and layer by
+//! layer (DESIGN §7.3).
 
 pub mod ablation;
 pub mod async_diff;
@@ -66,7 +66,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod generality;
-pub mod ingest;
 pub mod sast;
 pub mod table1;
 pub mod table2;

@@ -1,6 +1,5 @@
 //! Static analysis experiments: the corpus-wide `hd-sast` scan, the
-//! static↔runtime differential, the three-arm precision differential,
-//! and the threaded scan benchmark.
+//! static↔runtime differential and the three-arm precision differential.
 //!
 //! The scan runs the interprocedural analyzer over every corpus app and
 //! packages the per-app reports (the `repro sast` artifact). The
@@ -13,20 +12,18 @@
 //! catches them. The precision differential (`repro sast-prec-diff`)
 //! scores all three rule profiles against fleet-confirmed ground truth:
 //! the contextual arm must remove false positives versus `full` and
-//! lose no true positive. The benchmark (`repro sast-bench`) sweeps the
-//! strided parallel scanner over the 114-app study corpus.
+//! lose no true positive.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use hangdoctor::{BlockingApiDb, FaultConfig, HangDoctorConfig};
-use hd_appmodel::corpus::{differential_corpus, full_corpus};
+use hd_appmodel::corpus::differential_corpus;
 use hd_appmodel::App;
 use hd_fleet::{bugs_reported, run_fleet, DeviceProfile, FleetReport, FleetSpec};
 use hd_metrics::{ArmScore, Truth};
 use hd_sast::{
-    analyze_with_db, bench_sweep, classify_bug, scan_corpus, RuleProfile, SastBench, SastConfig,
-    SastReport, Severity,
+    analyze_with_db, classify_bug, scan_corpus, RuleProfile, SastConfig, SastReport, Severity,
 };
 use serde::{Deserialize, Serialize};
 
@@ -105,48 +102,6 @@ pub fn run_scan(profile: RuleProfile, db_year: u16, threads: usize) -> SastScan 
         db_year,
         reports: scan_corpus(&differential_corpus(), &db, &config, threads).reports,
     }
-}
-
-/// Runs the threaded scan benchmark: the contextual profile over the
-/// full 114-app study corpus replicated `replicas` times, swept across
-/// `thread_sweep` worker counts with a fresh cross-app cache per run.
-pub fn run_bench(seed: u64, thread_sweep: &[usize], replicas: usize) -> SastBench {
-    let config = SastConfig {
-        profile: RuleProfile::Contextual,
-        db_year: 2017,
-    };
-    let db = BlockingApiDb::documented(config.db_year);
-    bench_sweep(&full_corpus(seed), &db, &config, thread_sweep, replicas)
-}
-
-/// Renders the bench sweep table.
-pub fn render_bench(bench: &SastBench) -> String {
-    let rows: Vec<Vec<String>> = bench
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.threads.to_string(),
-                format!("{:.1}", r.elapsed_ms),
-                format!("{:.0}", r.apps_per_second),
-                format!("{:.2}x", r.speedup_vs_serial),
-                format!("{:.2}", r.cache_hit_rate),
-                r.summaries_deduped.to_string(),
-            ]
-        })
-        .collect();
-    format!(
-        "hd-sast scan bench — {} profile, {} apps x{} replicas, {} host cpu(s)\n{}\nbest: {:.0} apps/s\n",
-        bench.profile,
-        bench.corpus_apps,
-        bench.replicas,
-        bench.host_cpus,
-        render_table(
-            &["threads", "ms", "apps/s", "speedup", "hit-rate", "deduped"],
-            &rows
-        ),
-        bench.best_apps_per_second,
-    )
 }
 
 /// Every ground-truth bug of `corpus` → its offline-failure-mode class.
@@ -490,20 +445,5 @@ mod tests {
         let text = render_precision(&r);
         assert!(text.contains("false positives removed"));
         assert!(text.contains("contextual"));
-    }
-
-    #[test]
-    fn bench_sweep_over_the_study_corpus_reuses_summaries() {
-        let bench = run_bench(42, &[1, 2], 1);
-        assert_eq!(bench.corpus_apps, 114);
-        assert!(bench.best_apps_per_second > 0.0);
-        for row in &bench.rows {
-            assert!(
-                row.cache_hit_rate > 0.0,
-                "study apps share registry subgraphs: {row:?}"
-            );
-        }
-        let text = render_bench(&bench);
-        assert!(text.contains("apps/s"));
     }
 }

@@ -31,6 +31,9 @@
 //!
 //! Wall-clock measurements live in the separate [`FleetTiming`] half,
 //! which is excluded from determinism comparisons by construction.
+//! Nothing guards them: perfbench's `fleet-study` workload measures
+//! [`run_fleet`] by the CPU time it spends per device job, and counts
+//! the work its detectors do.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -246,101 +249,6 @@ pub struct FleetReport {
     pub chaos: Option<ChaosReport>,
     /// Wall-clock measurements.
     pub timing: FleetTiming,
-}
-
-/// Schema tag of `BENCH_fleet.json`. v3: each row is the fastest of
-/// [`FleetBench::runs_per_row`] back-to-back runs, not a single run.
-pub const FLEET_BENCH_SCHEMA: &str = "hang-doctor/fleet-bench/v3";
-
-/// One thread-count row of the fleet bench schema.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BenchRow {
-    /// Worker threads used for this row.
-    pub threads: usize,
-    /// Jobs (devices) run.
-    pub jobs: usize,
-    /// End-to-end wall time, ms.
-    pub wall_ms: u64,
-    /// Total simulated device time, hours.
-    pub simulated_device_hours: f64,
-    /// Fleet throughput: simulated device-hours per wall second.
-    pub device_hours_per_wall_second: f64,
-    /// Per-shard busy time and job counts.
-    pub shards: Vec<ShardStat>,
-}
-
-/// Measured cost of the accrual kernel, the fleet's innermost hot loop.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AccrueBench {
-    /// ns per `MemProfile::accrue` call, ui profile.
-    pub ui_ns_per_call: f64,
-    /// ns per `MemProfile::accrue` call, memory-heavy profile.
-    pub memory_heavy_ns_per_call: f64,
-}
-
-/// Machine-readable performance snapshot of a fleet scaling sweep — the
-/// schema of `BENCH_fleet.json`, the repo's perf-trajectory entry.
-/// Emitted by `repro bench-summary` (one [`BenchRow`] per thread count)
-/// and archived by CI so throughput regressions are visible across
-/// commits; CI also fails if the freshly measured quick-fleet throughput
-/// regresses more than 20% below the committed `best` value.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FleetBench {
-    /// Schema tag, bumped on incompatible changes.
-    pub schema: String,
-    /// Human description of the measured workload.
-    pub workload: String,
-    /// The PR 2 reference throughput this trajectory is measured
-    /// against, device-hours per wall second.
-    pub baseline_device_hours_per_wall_second: f64,
-    /// Back-to-back runs behind each row; a row is the fastest of them,
-    /// and all of them merged to the same bytes.
-    pub runs_per_row: usize,
-    /// Accrual-kernel microbenchmark at the time of the sweep.
-    pub accrue: AccrueBench,
-    /// One row per measured thread count, ascending.
-    pub rows: Vec<BenchRow>,
-    /// Best throughput across the rows, device-hours per wall second.
-    pub best_device_hours_per_wall_second: f64,
-}
-
-impl FleetBench {
-    /// Assembles the sweep artifact; `best` is computed from the rows.
-    pub fn new(
-        workload: &str,
-        baseline: f64,
-        runs_per_row: usize,
-        accrue: AccrueBench,
-        rows: Vec<BenchRow>,
-    ) -> Self {
-        let best = rows
-            .iter()
-            .map(|r| r.device_hours_per_wall_second)
-            .fold(0.0, f64::max);
-        FleetBench {
-            schema: FLEET_BENCH_SCHEMA.into(),
-            workload: workload.into(),
-            baseline_device_hours_per_wall_second: baseline,
-            runs_per_row,
-            accrue,
-            rows,
-            best_device_hours_per_wall_second: best,
-        }
-    }
-}
-
-impl FleetReport {
-    /// Collapses the run into one [`BenchRow`] of the sweep.
-    pub fn bench_row(&self) -> BenchRow {
-        BenchRow {
-            threads: self.timing.threads,
-            jobs: self.merged.jobs,
-            wall_ms: self.timing.wall_ms,
-            simulated_device_hours: self.merged.simulated_ns as f64 / 3.6e12,
-            device_hours_per_wall_second: self.timing.device_hours_per_wall_second,
-            shards: self.timing.shards.clone(),
-        }
-    }
 }
 
 impl FleetReport {

@@ -19,4 +19,4 @@ pub use confusion::{
     ExecClass, PERCEIVABLE_NS,
 };
 pub use overhead::OverheadReport;
-pub use stats::{frac_above, mean, percentile, percentile_u64, std_dev};
+pub use stats::{frac_above, mean, percentile, std_dev};

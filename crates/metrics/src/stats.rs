@@ -38,22 +38,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Nearest-rank percentile over integer samples (`p` in `[0, 100]`),
-/// for latency tallies measured in whole nanoseconds where
-/// interpolation would invent values nobody observed.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or `p` is out of range.
-pub fn percentile_u64(xs: &[u64], p: f64) -> u64 {
-    assert!(!xs.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let mut sorted = xs.to_vec();
-    sorted.sort_unstable();
-    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank]
-}
-
 /// Fraction of values strictly above `threshold`.
 pub fn frac_above(xs: &[f64], threshold: f64) -> f64 {
     if xs.is_empty() {
@@ -90,21 +74,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn percentile_u64_is_nearest_rank() {
-        let xs = [40, 10, 30, 20];
-        assert_eq!(percentile_u64(&xs, 0.0), 10);
-        assert_eq!(percentile_u64(&xs, 50.0), 30);
-        assert_eq!(percentile_u64(&xs, 100.0), 40);
-        assert_eq!(percentile_u64(&[7], 99.0), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_u64_empty_panics() {
-        percentile_u64(&[], 50.0);
     }
 
     #[test]

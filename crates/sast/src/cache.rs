@@ -14,8 +14,8 @@
 //! covers), and site-local facts — database membership, `bug_id` tags,
 //! offload/async gates — are applied *outside* the cache. Sharing one
 //! cache across threads can therefore never change report bytes; only
-//! the hit/miss tallies depend on scheduling, and those live in the
-//! bench artifacts, never in a report.
+//! the hit/miss tallies depend on scheduling, and those live in a scan's
+//! [`CacheStats`], never in a report.
 //!
 //! [`ContextIndex::site_fingerprint`]: crate::context::ContextIndex::site_fingerprint
 
@@ -52,7 +52,7 @@ pub struct CachedReach {
     pub truncated: bool,
 }
 
-/// Cache telemetry, reported in scan/bench artifacts.
+/// Cache telemetry of a scan ([`CorpusScan::cache`](crate::CorpusScan::cache)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups that found a memoized summary.
@@ -71,12 +71,6 @@ impl CacheStats {
             return 0.0;
         }
         self.hits as f64 / total as f64
-    }
-
-    /// Summaries the cache saved recomputing: every lookup beyond the
-    /// first per fingerprint.
-    pub fn deduped(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -196,7 +190,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(stats.deduped(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   symbols (the paper's feedback loop without full re-scans);
 //! * [`scan`] — a strided-shard parallel corpus scanner
 //!   ([`scan_corpus`]) whose merged output is byte-identical at any
-//!   thread count, plus the [`SastBench`] sweep artifact.
+//!   thread count.
 //!
 //! The three offline failure modes the paper motivates Hang Doctor with
 //! (Section 1) are *structural* consequences of this design, not special
@@ -62,8 +62,5 @@ pub use graph::CallGraph;
 pub use incremental::AnalysisSession;
 pub use report::{SastFinding, SastReport, SAST_SCHEMA};
 pub use rules::{rule_table, RuleMeta, RuleProfile, Severity, RULE_DIRECT, RULE_VIA_WRAPPER};
-pub use scan::{
-    bench_sweep, scan_corpus, scan_corpus_cached, CorpusScan, SastBench, SastBenchRow,
-    SAST_BENCH_SCHEMA,
-};
+pub use scan::{scan_corpus, scan_corpus_cached, CorpusScan};
 pub use summary::{compute_summaries, worst_busy_ns, BlockingSummary};

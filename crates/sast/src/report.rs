@@ -3,8 +3,8 @@
 //! A [`SastReport`] is one analyzer run over one app: the schema tag,
 //! the configuration that produced it (profile, database year), the
 //! rule table, and the findings. The schema string is versioned like the
-//! fleet artifact (`hang-doctor/fleet-bench/v3`) so downstream tooling
-//! can fail loudly on drift instead of misparsing.
+//! fleet golden fixtures (`hang-doctor/fleet-golden/v3`) so downstream
+//! tooling can fail loudly on drift instead of misparsing.
 
 use std::collections::BTreeSet;
 

@@ -691,8 +691,40 @@ mod tests {
 
     #[test]
     fn control_client_probes_a_live_server() {
+        const UPLOADS: u64 = 64;
+        const WINDOW: u64 = 8;
         let server = TelemetryServer::builder().start().unwrap();
-        let mut ctl = ControlClient::connect(server.local_addr());
+        let addr = server.local_addr();
+        // Pipelined uploads on a second connection: the first window
+        // stays unanswered until the probes below are done, then the
+        // rest stream while the probes repeat.
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        let (probed_tx, probed_rx) = std::sync::mpsc::channel();
+        let uploads = std::thread::spawn(move || {
+            let mut up = PipelinedUploader::connect(addr).unwrap();
+            let batches: Vec<UploadBatch> = (0..UPLOADS).map(|seq| batch(2, seq)).collect();
+            let mut fps = batches.iter().map(crate::fingerprint::batch_fingerprint);
+            let mut unsent = batches.iter();
+            for b in unsent.by_ref().take(WINDOW as usize) {
+                up.send(b).unwrap();
+            }
+            sent_tx.send(()).unwrap();
+            probed_rx.recv().unwrap();
+            let mut acked = 0;
+            while up.inflight() > 0 {
+                let receipt = up.recv().unwrap();
+                assert_eq!(Some(receipt.fingerprint), fps.next());
+                assert!(!receipt.duplicate);
+                acked += 1;
+                if let Some(b) = unsent.next() {
+                    up.send(b).unwrap();
+                }
+            }
+            acked
+        });
+        sent_rx.recv().unwrap();
+
+        let mut ctl = ControlClient::connect(addr);
         assert_eq!(ctl.negotiate().unwrap(), WireVersion::Control);
 
         let directives = ctl.sync(sync_report(4)).unwrap();
@@ -711,13 +743,23 @@ mod tests {
         let directives = ctl.sync(sync_report(4)).unwrap();
         assert!(!directives.diagnosis_enabled);
 
+        probed_tx.send(()).unwrap();
+        while !uploads.is_finished() {
+            assert_eq!(
+                ctl.query_state(4).unwrap(),
+                vec![(1, ActionState::Suspicious, 0)]
+            );
+        }
+        assert_eq!(uploads.join().unwrap(), UPLOADS);
+
         // Uploads and control frames share one server.
-        let mut up = Uploader::plain(server.local_addr());
+        let mut up = Uploader::plain(addr);
         up.upload(&batch(1, 0)).unwrap();
         drop(up); // close the upload connection so join can drain
 
         ctl.shutdown().unwrap();
-        server.join();
+        let stats = server.join();
+        assert_eq!(stats.ingest.batches_applied, UPLOADS + 1);
     }
 
     #[test]

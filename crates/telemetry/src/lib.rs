@@ -44,8 +44,9 @@
 //! * [`cluster`] — N-node partitioning, the stateless coordinator fold,
 //!   and kill-and-restart over the WAL.
 //!
-//! The pipelined loopback load benchmark behind `BENCH_telemetry.json`
-//! lives in `hd-bench`.
+//! The `perfbench` workspace measures this crate's upload, query and
+//! control paths against a loopback server (its `ingest-durable` and
+//! `ops-mixed` workloads).
 //!
 //! ## End-to-end invariant
 //!

@@ -312,7 +312,9 @@ pub const MAX_DEPTH: usize = 128;
 /// fits `u64`, else as a signed integer when it fits `i64`, else as a
 /// float; a text with `.`, `e`, `E` or a sign after the first character
 /// is always a float. So `-0` is the integer zero, and a float never
-/// reads into an integer type.
+/// reads into an integer type. A literal that overflows the float type
+/// it reads into is an invalid number, not ±inf, since the writer would
+/// render that as `null`; underflow to zero is accepted.
 #[derive(Debug)]
 pub struct Reader<'a> {
     text: &'a str,
@@ -429,9 +431,18 @@ impl<'a> Reader<'a> {
                 return Ok(Number::Int(n));
             }
         }
-        text.parse::<f64>()
-            .map(Number::Float)
-            .map_err(|_| Error::custom(format!("invalid number `{text}` at offset {start}")))
+        // A literal past f64's range parses as ±inf: refused (see
+        // `Reader`).
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Number::Float(f)),
+            _ => Err(self.invalid_number(start)),
+        }
+    }
+
+    /// The "invalid number" error for the literal read from `start`.
+    fn invalid_number(&self, start: usize) -> Error {
+        let text = &self.text[start..self.pos];
+        Error::custom(format!("invalid number `{text}` at offset {start}"))
     }
 
     /// Reads a string, borrowed from the input when it holds no escape.
@@ -864,11 +875,19 @@ macro_rules! impl_serde_float {
         }
         impl Deserialize for $t {
             fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-                Ok(match r.number()? {
+                r.peek(); // skips whitespace: `start` is where the literal begins
+                let start = r.offset();
+                let f = match r.number()? {
                     Number::Float(f) => f as $t,
                     Number::UInt(n) => n as $t,
                     Number::Int(n) => n as $t,
-                })
+                };
+                // A finite f64 can still overflow a narrower type.
+                if f.is_finite() {
+                    Ok(f)
+                } else {
+                    Err(r.invalid_number(start))
+                }
             }
         }
     )*};

@@ -84,6 +84,23 @@ fn numbers_classify_into_integer_and_float_types() {
     assert_eq!(from_str::<f32>("0.1").unwrap(), 0.1f64 as f32);
     assert!(from_str::<f64>("null").is_err());
     assert!(from_str::<f64>("1-2").is_err());
+    // A literal that overflows its float type is invalid, not ±inf (the
+    // writer renders a non-finite float as `null`, which reads back as
+    // no float at all); underflow to zero is accepted.
+    let huge = "9".repeat(400);
+    for text in ["1e99925", "-1e309", huge.as_str()] {
+        let err = from_str::<f64>(text).unwrap_err().to_string();
+        assert!(err.contains("invalid number"), "{text}: {err}");
+        assert!(from_str::<f32>(text).is_err(), "{text}");
+    }
+    assert!(from_str::<Vec<f64>>("[1.5, 1e400]").is_err());
+    let err = from_str::<f32>(" 1e39").unwrap_err().to_string();
+    assert!(err.contains("invalid number `1e39` at offset 1"), "{err}");
+    assert!(from_str::<f32>("-3.5e38").is_err());
+    assert_eq!(from_str::<f32>("3.4e38").unwrap(), 3.4e38f32);
+    assert_eq!(from_str::<f64>("1e308").unwrap(), 1e308);
+    assert_eq!(from_str::<f64>("1e-400").unwrap(), 0.0);
+    assert_eq!(from_str::<f32>("1e-50").unwrap(), 0.0);
 }
 
 #[test]
