@@ -2,16 +2,22 @@
 """Paired base-vs-head run of the benchmark on one host.
 
 Builds perfbench at BASE (a git worktree under .bench_work/) and in this
-checkout, then runs BENCHMARK.json's command on fleet-study and
-sast-corpus, PAIRS pairs each, every run SECONDS long, alternating which
-side runs first. Exits 1 on any incorrect run, or when this checkout's
-median is worse than the base's by more than BOUND_FROM's bound in
-BENCHMARK.json on either of two metrics:
+checkout, then runs BENCHMARK.json's command on each workload below:
+one warm-up run it drops, then PAIRS pairs, every run SECONDS long,
+alternating which side runs first. Exits 1 on any incorrect run, or
+when this checkout's median is worse than the base's by more than
+BOUND_FROM's bound in BENCHMARK.json on a metric it guards:
 
-- cpu_us_per_op, the process CPU time per operation: a slower program;
-- the workload's wall-clock rate (RATES, printed in perfbench's readable
-  report): a loss of parallelism. Both workloads run on two threads, and
-  threads that wait on each other spend no more CPU per operation.
+- fleet-study: cpu_us_per_op and device_hours_per_s;
+- sast-corpus: cpu_us_per_op and sast_apps_per_s;
+- ops-mixed: cpu_us_per_op.
+
+cpu_us_per_op, the process CPU time per operation, catches a slower
+program. A wall-clock rate, read from perfbench's readable report,
+catches a loss of parallelism: fleet-study and sast-corpus run on two
+threads, and threads that wait on each other spend no more CPU per
+operation. ops-mixed is an open loop that sends at fixed rates, so it
+has no wall-clock rate to check.
 
 Prints every end-to-end median beside them. When perfbench/ or
 BENCHMARK.json differ between BASE and HEAD, the two sides run different
@@ -29,8 +35,12 @@ import statistics
 import subprocess
 import sys
 
-# Each workload's wall-clock rate, higher is better.
-RATES = {"fleet-study": "device_hours_per_s", "sast-corpus": "sast_apps_per_s"}
+# Each workload and its wall-clock rate (higher is better), if it has one.
+WORKLOADS = {
+    "fleet-study": "device_hours_per_s",
+    "sast-corpus": "sast_apps_per_s",
+    "ops-mixed": None,
+}
 PAIRS = 5
 SECONDS = 3
 BOUND_FROM = "cpu_us_per_op"
@@ -61,12 +71,14 @@ def run(tree, command, workload):
         result = json.loads(p.stdout.strip().splitlines()[-1]) if p.returncode == 0 else None
     except (IndexError, ValueError):
         result = None
-    rate = re.search(rf"^metric {RATES[workload]} = (\S+) ", p.stdout, re.M)
-    if result is None or not result["correct"] or rate is None:
+    rate_name = WORKLOADS[workload]
+    rate = rate_name and re.search(rf"^metric {rate_name} = (\S+) ", p.stdout, re.M)
+    if result is None or not result["correct"] or (rate_name and rate is None):
         sys.exit(f"{workload} in {tree}: incorrect run (exit {p.returncode})\n"
                  f"{p.stdout[-3000:]}\n{p.stderr[-3000:]}")
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    values[RATES[workload]] = float(rate.group(1))
+    if rate_name:
+        values[rate_name] = float(rate.group(1))
     return values
 
 
@@ -96,8 +108,11 @@ def main():
     for tree in sides.values():
         subprocess.run(build, cwd=tree, env=ENV, check=True)
     failures = []
-    for workload, rate in RATES.items():
-        guarded = {BOUND_FROM: "lower", rate: "higher"}
+    for workload, rate in WORKLOADS.items():
+        guarded = {BOUND_FROM: "lower", **({rate: "higher"} if rate else {})}
+        # A workload's first run reads high (ops-mixed's by 1.3-1.8x) and
+        # would always land on the base side: run one and drop it.
+        run(sides["base"], command, workload)
         values = {side: [] for side in sides}
         for i in range(PAIRS):
             order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
@@ -106,7 +121,7 @@ def main():
             print(f"{workload} pair {i + 1}: " + ", ".join(
                 f"{side} " + " ".join(f"{values[side][-1][g]:.6g}" for g in guarded)
                 for side in order), flush=True)
-        for name in [*metrics, rate]:
+        for name in [*metrics, *([rate] if rate else [])]:
             base, head = (statistics.median(r[name] for r in values[s]) for s in sides)
             verdict = ""
             if name in guarded:

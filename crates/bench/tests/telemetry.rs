@@ -7,6 +7,8 @@
 //! kill-and-restart schedules — and over the Table 1 corpus the
 //! networked report is pinned by a golden fixture.
 
+use std::ops::ControlFlow;
+
 use hangdoctor::HangDoctorConfig;
 use hd_appmodel::corpus::{async_hang_apps, full_corpus, table1, table5};
 use hd_bench::differential::DifferentialReport;
@@ -98,7 +100,11 @@ fn spliced_wal_records_equal_encoded_ones_for_every_fleet_upload() {
         let batch = batch_of(job);
         let mut frame = encode_frame(&Request::Upload(batch.clone()));
         let mut wire = None;
-        drain_requests(&mut frame, |_, _, json| wire = json.map(<[u8]>::to_vec)).unwrap();
+        drain_requests(&mut frame, |_, _, json| {
+            wire = json.map(<[u8]>::to_vec);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
         let json = wire.expect("our own upload frames are canonical");
         let fingerprint = fnv1a(&json);
         assert_eq!(fingerprint, batch_fingerprint(&batch));

@@ -12,7 +12,10 @@
 //! to the later snapshot, and reports from different devices union.
 //! That makes `merge` associative, commutative, and idempotent, so the
 //! fleet engine can combine shard results in any grouping/order — and
-//! retry a shard — without changing the outcome.
+//! retry a shard — without changing the outcome. `merge` also says
+//! whether it changed the report, which the maximum or minimum deciding
+//! each cell already knows, so a caller can skip the work that a merge
+//! adding nothing would otherwise set off.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -81,19 +84,24 @@ impl EntryAcc {
     }
 
     /// Semilattice join with another accumulator for the same symbol.
-    fn join(&mut self, other: &EntryAcc) {
+    /// Returns whether it changed this one.
+    fn join(&mut self, other: &EntryAcc) -> bool {
+        let mut changed = false;
         if other.site() < self.site() {
             self.file = other.file.clone();
             self.line = other.line;
+            changed = true;
         }
-        self.kind = match (self.kind, other.kind) {
+        let kind = match (self.kind, other.kind) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+        changed |= kind != self.kind;
+        self.kind = kind;
         for (device, evidence) in &other.devices {
-            let mine = self.devices.entry(*device).or_default();
-            *mine = (*mine).max(*evidence);
+            changed |= join_cell(self.devices.entry(*device), *evidence);
         }
+        changed
     }
 }
 
@@ -148,12 +156,22 @@ impl HangBugReport {
     /// aggregation). Associative, commutative, and idempotent: every
     /// per-device counter joins by maximum, and tie-breaks (names,
     /// locations, classifications) resolve to the smallest value.
-    pub fn merge(&mut self, other: &HangBugReport) {
+    ///
+    /// Returns whether this report changed: false exactly when `other`
+    /// adds nothing to it, so the serialized bytes are unchanged. Keys
+    /// are cloned only for new entries.
+    pub fn merge(&mut self, other: &HangBugReport) -> bool {
+        let mut changed = false;
         for (uid, devices) in &other.action_executions {
-            let mine = self.action_executions.entry(*uid).or_default();
+            let mine = match self.action_executions.entry(*uid) {
+                Entry::Occupied(occupied) => occupied.into_mut(),
+                Entry::Vacant(vacant) => {
+                    changed = true;
+                    vacant.insert(HashMap::new())
+                }
+            };
             for (device, count) in devices {
-                let cell = mine.entry(*device).or_default();
-                *cell = (*cell).max(*count);
+                changed |= join_cell(mine.entry(*device), *count);
             }
         }
         for (uid, name) in &other.action_names {
@@ -161,33 +179,39 @@ impl HangBugReport {
                 Entry::Occupied(mut occupied) => {
                     if name < occupied.get() {
                         occupied.insert(name.clone());
+                        changed = true;
                     }
                 }
                 Entry::Vacant(vacant) => {
                     vacant.insert(name.clone());
+                    changed = true;
                 }
             }
         }
         for (sym, acc) in &other.entries {
-            match self.entries.entry(sym.clone()) {
-                Entry::Occupied(mut occupied) => occupied.get_mut().join(acc),
-                Entry::Vacant(vacant) => {
-                    vacant.insert(acc.clone());
+            match self.entries.get_mut(sym) {
+                Some(mine) => changed |= mine.join(acc),
+                None => {
+                    self.entries.insert(sym.clone(), acc.clone());
+                    changed = true;
                 }
             }
         }
         for (sym, uid) in &other.bug_actions {
-            match self.bug_actions.entry(sym.clone()) {
-                Entry::Occupied(mut occupied) => {
-                    if uid.0 < occupied.get().0 {
-                        occupied.insert(*uid);
+            match self.bug_actions.get_mut(sym) {
+                Some(mine) => {
+                    if uid.0 < mine.0 {
+                        *mine = *uid;
+                        changed = true;
                     }
                 }
-                Entry::Vacant(vacant) => {
-                    vacant.insert(*uid);
+                None => {
+                    self.bug_actions.insert(sym.clone(), *uid);
+                    changed = true;
                 }
             }
         }
+        changed
     }
 
     /// Report rows ordered by occurrence percentage (Figure 2(b)).
@@ -275,6 +299,24 @@ impl HangBugReport {
             ));
         }
         out
+    }
+}
+
+/// Joins `value` into one per-device cell by maximum; returns whether
+/// the cell was new or grew.
+fn join_cell<V: Copy + Ord>(cell: Entry<'_, u32, V>, value: V) -> bool {
+    match cell {
+        Entry::Occupied(mut occupied) => {
+            let grew = value > *occupied.get();
+            if grew {
+                occupied.insert(value);
+            }
+            grew
+        }
+        Entry::Vacant(vacant) => {
+            vacant.insert(value);
+            true
+        }
     }
 }
 

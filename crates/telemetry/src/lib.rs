@@ -33,8 +33,9 @@
 //!   multiplexed I/O workers woken by doorbells, each decoding a batch
 //!   of frames and applying every upload itself under its shard's lock
 //!   (WAL append, then merge), so responses leave in request order and
-//!   a query sees every upload its connection was ACKed for; a cap on
-//!   the response bytes a peer leaves untaken;
+//!   a query sees every upload its connection was ACKed for, answered
+//!   from the last answer's kept frame when nothing changed; a cap,
+//!   checked per request, on the response bytes a peer leaves untaken;
 //! * [`client`] — the retrying [`Uploader`] with deterministic
 //!   exponential backoff and `hd-faults` transport-fault injection,
 //!   the windowed [`PipelinedUploader`] throughput path, and the

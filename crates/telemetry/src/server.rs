@@ -30,8 +30,10 @@
 //! and [`TelemetryServer::kill`] for every worker.
 //!
 //! One peer cannot make the server hold unbounded state: a connection
-//! holding 1 MiB of responses the peer has not taken is not read again
-//! until it drains.
+//! stops handling requests once it holds 1 MiB of responses the peer
+//! has not taken, and is neither read nor handled again until the
+//! socket takes enough of them. Requests already read wait in its read
+//! buffer, so it never holds more than the cap plus one answer.
 //!
 //! Properties that carry the correctness argument:
 //!
@@ -48,12 +50,17 @@
 //!   partition. The server keeps one [`ReportView`]: each app's report
 //!   rows joined across the partitions. A query takes every shard's
 //!   lock in index order, then the view's, drains the apps each
-//!   partition changed since the last query, re-joins only those
-//!   straight from the partitions, and ranks the kept rows. A root
-//!   cause's action may have executions in a shard whose devices never
-//!   hung on it, so a join needs every partition at once; holding all
-//!   the locks also makes the answer one consistent cut. `Export` folds
-//!   the partitions' snapshots through the CRDT merge
+//!   partition changed since the last query (a partition marks an app
+//!   only when an upload changed its report or added a device to it),
+//!   re-joins only those straight from the partitions, and ranks the
+//!   kept rows. A root cause's action may have executions in a shard
+//!   whose devices never hung on it, so a join needs every partition at
+//!   once; holding all the locks also makes the answer one consistent
+//!   cut. The last answer's encoded frame is kept beside the view with
+//!   its `top_n` and dialect, and dropped whenever the view re-joins an
+//!   app: a query that follows no change, asking the same, writes the
+//!   kept bytes and ranks and encodes nothing. `Export` folds the
+//!   partitions' snapshots through the CRDT merge
 //!   ([`AggregationStore::absorb`]) — the same fold the cluster
 //!   coordinator runs across nodes.
 //! * **Durability.** With a WAL directory configured, every batch is
@@ -72,6 +79,7 @@
 use std::ffi::{c_int, c_short};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -221,8 +229,8 @@ pub struct ServerStats {
     pub ingest: IngestStats,
 }
 
-/// Response bytes a connection may leave untaken before it is no longer
-/// read.
+/// Response bytes a connection may leave untaken before its requests
+/// are no longer read or handled.
 const MAX_WBUF: usize = 1 << 20;
 
 /// What other threads hand one io worker, and the doorbell that wakes
@@ -279,6 +287,22 @@ struct Shard {
     wal: Option<Wal>,
 }
 
+/// The Hang Bug Report as of the last `Query`, and that Query's answer.
+#[derive(Default)]
+struct QueryView {
+    report: ReportView,
+    /// The last answer, replaced when `report` re-joins an app or a
+    /// Query asks another `top_n` or dialect.
+    kept: Option<KeptAnswer>,
+}
+
+/// An encoded `Query` answer and what it answered.
+struct KeptAnswer {
+    top_n: usize,
+    version: WireVersion,
+    frame: Vec<u8>,
+}
+
 struct Shared {
     /// The bound listener address.
     addr: SocketAddr,
@@ -291,9 +315,9 @@ struct Shared {
     /// the other holds.
     shards: Vec<Mutex<Shard>>,
     /// The Hang Bug Report as of the last `Query`. Only
-    /// [`Shared::report`] drains the stores' changed apps, so the view
+    /// [`Shared::query`] drains the stores' changed apps, so the view
     /// has seen every change but those it re-joins next.
-    view: Mutex<ReportView>,
+    view: Mutex<QueryView>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
     killed: AtomicBool,
@@ -354,12 +378,15 @@ impl Shared {
         folded
     }
 
-    /// The top-N report over every shard partition. Under every shard's
-    /// lock at once and then the view's (the lock order above), the view
+    /// Answers `Query { top_n }` in `version` into `out`: the top-N
+    /// report over every shard partition. Under every shard's lock at
+    /// once and then the view's (the lock order above), the view
     /// re-joins the apps the shards changed since the last query, so the
     /// answer is one consistent cut across the shards. The shards are
-    /// released before the kept rows are ranked.
-    fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
+    /// released before the kept rows are ranked and encoded. When
+    /// nothing was re-joined and the last answer asked the same, its
+    /// kept frame is the answer.
+    fn query(&self, top_n: usize, version: WireVersion, out: &mut Vec<u8>) {
         let mut guards: Vec<_> = self
             .shards
             .iter()
@@ -368,10 +395,20 @@ impl Shared {
         let mut view = self.view.lock().expect("view lock");
         let mut parts: Vec<&mut AggregationStore> =
             guards.iter_mut().map(|g| &mut g.store).collect();
-        view.update(&mut parts);
+        let QueryView { report, kept } = &mut *view;
+        let rejoined = report.update(&mut parts);
         drop(parts);
         drop(guards);
-        view.report(top_n)
+        let stale = |k: &KeptAnswer| rejoined || (k.top_n, k.version) != (top_n, version);
+        if kept.as_ref().is_some_and(stale) {
+            *kept = None;
+        }
+        let kept = kept.get_or_insert_with(|| KeptAnswer {
+            top_n,
+            version,
+            frame: encode_frame_in(version, &Response::Report(report.report(top_n))),
+        });
+        out.extend_from_slice(&kept.frame);
     }
 
     /// Sets the stop flags and wakes every thread that waits to see
@@ -495,7 +532,7 @@ impl TelemetryServer {
         let shared = Arc::new(Shared {
             addr: local,
             shards,
-            view: Mutex::new(ReportView::new()),
+            view: Mutex::new(QueryView::default()),
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
@@ -557,12 +594,6 @@ impl TelemetryServer {
             batches_recovered: self.shared.batches_recovered.load(Ordering::Relaxed),
             ingest,
         }
-    }
-
-    /// The aggregated top-N report over everything ingested so far
-    /// (all shard partitions folded).
-    pub fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
-        self.shared.report(top_n)
     }
 
     /// The node's full aggregation state (all shard partitions folded)
@@ -648,6 +679,9 @@ struct Conn {
     rbuf: Vec<u8>,
     /// Encoded responses, in request order, not yet taken by the socket.
     wbuf: Vec<u8>,
+    /// Handling stopped at [`MAX_WBUF`], so complete requests may wait
+    /// in `rbuf`; set while `wbuf` holds at least the cap.
+    paused: bool,
     /// Dialect of the most recent request (responses echo it).
     version: WireVersion,
     /// Stop reading (clean EOF or poisoned by a decode error).
@@ -664,6 +698,7 @@ impl Conn {
             stream,
             rbuf: Vec::with_capacity(16 * 1024),
             wbuf: Vec::new(),
+            paused: false,
             version: WireVersion::V2,
             closed_read: false,
             close_after_flush: false,
@@ -753,9 +788,10 @@ impl IoWorker {
     }
 
     /// One pass over a connection: reads once if `poll` reported it
-    /// readable and it may read, handles every complete frame, and
-    /// writes what the socket takes of the responses. Returns whether
-    /// to keep it.
+    /// readable and it may read, handles complete frames up to the
+    /// response cap, and writes what the socket takes of the responses.
+    /// Requests left behind at the cap are handled in the same pass once
+    /// the socket has taken enough. Returns whether to keep it.
     fn serve(&self, conn: &mut Conn, scratch: &mut [u8]) -> bool {
         let ready = std::mem::take(&mut conn.ready);
         if ready & (POLLIN | POLL_GONE) != 0 && conn.wants_read() {
@@ -787,18 +823,29 @@ impl IoWorker {
                 Err(_) => return false,
             }
         }
+        if conn.paused && conn.wbuf.len() < MAX_WBUF {
+            self.dispatch(conn);
+        }
         !(conn.close_after_flush && conn.wbuf.is_empty())
     }
 
-    /// Decodes every complete frame in the read buffer and handles each
+    /// Decodes the complete frames in the read buffer and handles each
     /// as it decodes, while an upload's wire bytes are still in hand:
     /// the apply fingerprints and logs them instead of re-encoding the
-    /// batch.
+    /// batch. Stops once the responses reach [`MAX_WBUF`], leaving the
+    /// rest in the read buffer.
     fn dispatch(&self, conn: &mut Conn) {
         let mut rbuf = std::mem::take(&mut conn.rbuf);
+        conn.paused = false;
         let drained = drain_requests(&mut rbuf, |request, version, batch_json| {
             conn.version = version;
             self.handle_request(request, batch_json, conn);
+            conn.paused = conn.wbuf.len() >= MAX_WBUF;
+            if conn.paused {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         });
         conn.rbuf = rbuf;
         if let Err(err) = drained {
@@ -819,7 +866,11 @@ impl IoWorker {
                 },
                 Err(e) => Response::Error(e),
             },
-            Request::Query { top_n } => Response::Report(shared.report(top_n)),
+            // Written as encoded, the kept frame when nothing changed.
+            Request::Query { top_n } => {
+                shared.query(top_n, conn.version, &mut conn.wbuf);
+                return;
+            }
             Request::Export => Response::State(shared.fold_stores().snapshot()),
             Request::Hello { supported } => match WireVersion::negotiate(&supported) {
                 Some(version) => {
@@ -861,7 +912,8 @@ fn is_transient(e: &io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::wire::{encode_frame, read_frame, write_frame, TelemetryItem};
-    use hangdoctor::HangBugReport;
+    use hangdoctor::{HangBugReport, RootCause, RootKind};
+    use hd_simrt::ActionUid;
 
     fn upload_once(addr: SocketAddr, batch: &UploadBatch) -> Response {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -1022,5 +1074,83 @@ mod tests {
         shutdown(addr);
         let stats = server.join();
         assert_eq!(stats.ingest.batches_applied, 8);
+    }
+
+    #[test]
+    fn pipelined_answers_stay_within_the_response_cap() {
+        let server = TelemetryServer::builder().start().unwrap();
+        let shared = Arc::clone(&server.shared);
+        for device in 0..64 {
+            let mut report = HangBugReport::new("cap");
+            report.note_execution(device, ActionUid(1), "onOpen");
+            let root = RootCause {
+                symbol: format!("java.io.File.read{}", device % 8),
+                file: "Open.java".to_string(),
+                line: 12,
+                occurrence_factor: 1.0,
+                kind: RootKind::BlockingApi,
+            };
+            report.record_bug(device, ActionUid(1), &root, 150_000_000);
+            let batch = UploadBatch {
+                app: "cap".to_string(),
+                device,
+                seq: 0,
+                items: vec![TelemetryItem::Report(report)],
+            };
+            shared.apply(&batch, None).unwrap();
+        }
+        let snapshot = server.export_state();
+        let state = encode_frame(&Response::State(snapshot.clone()));
+        let report = AggregationStore::from_snapshot(&snapshot).report(5);
+        let answers = [state, encode_frame(&Response::Report(report))];
+        let requests = [
+            encode_frame(&Request::Export),
+            encode_frame(&Request::Query { top_n: 5 }),
+        ];
+
+        // A peer pipelines 64 KiB of Export and Query frames and reads
+        // nothing.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+        let mut want = Vec::new();
+        let mut i = 0;
+        while conn.rbuf.len() < 64 * 1024 {
+            conn.rbuf.extend_from_slice(&requests[i % 2]);
+            want.extend_from_slice(&answers[i % 2]);
+            i += 1;
+        }
+        assert!(want.len() > 2 * MAX_WBUF, "{} answer bytes", want.len());
+        let bound = MAX_WBUF + answers[0].len();
+        let worker = IoWorker { index: 0, shared };
+        let mut scratch = vec![0u8; 64 * 1024];
+        worker.dispatch(&mut conn);
+        assert!(conn.wbuf.len() <= bound, "queued {} bytes", conn.wbuf.len());
+        for _ in 0..16 {
+            assert!(worker.serve(&mut conn, &mut scratch));
+            assert!(conn.wbuf.len() <= bound, "queued {} bytes", conn.wbuf.len());
+        }
+
+        // Once the peer reads, every answer arrives, in request order.
+        let len = want.len();
+        let reader = thread::spawn(move || {
+            let mut got = vec![0u8; len];
+            peer.read_exact(&mut got).unwrap();
+            got
+        });
+        while !reader.is_finished() {
+            assert!(worker.serve(&mut conn, &mut scratch));
+            assert!(conn.wbuf.len() <= bound, "queued {} bytes", conn.wbuf.len());
+            thread::yield_now();
+        }
+        assert!(
+            reader.join().unwrap() == want,
+            "answers out of order or wrong"
+        );
+        assert!(conn.rbuf.is_empty() && conn.wbuf.is_empty());
+        shutdown(server.local_addr());
+        server.join();
     }
 }

@@ -24,6 +24,10 @@
 //! [`ReportView`] is the server's Hang Bug Report kept between queries:
 //! each app's report rows joined across the shard partitions, re-joined
 //! only for the apps a partition changed since the view last read it.
+//! A partition marks an app only when a batch or an absorbed snapshot
+//! changed the app's report or added a device to it, so re-sending what
+//! the store already holds marks nothing, and a view whose update
+//! re-joins nothing answers as before.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -96,9 +100,9 @@ pub struct AggregationStore {
     devices: BTreeMap<String, BTreeSet<u32>>,
     seen: HashSet<u64>,
     stats: IngestStats,
-    /// Apps whose report or devices changed since the [`ReportView`]
-    /// reading this store last drained them. Not content: snapshots
-    /// leave it out.
+    /// Apps whose report or device set changed since the [`ReportView`]
+    /// reading this store last drained them; an upload that changes
+    /// neither marks nothing. Not content: snapshots leave it out.
     changed: BTreeSet<String>,
 }
 
@@ -133,13 +137,9 @@ impl AggregationStore {
         }
         self.add_device(&batch.app, batch.device);
         for item in &batch.items {
-            let report = item.report();
             // An item may carry another app's report than the batch's.
-            self.mark(&report.app);
-            self.apps
-                .entry(report.app.clone())
-                .or_insert_with(|| HangBugReport::new(&report.app))
-                .merge(report);
+            let report = item.report();
+            self.merge_report(&report.app, report);
             self.stats.reports_ingested += 1;
         }
         self.stats.batches_applied += 1;
@@ -156,17 +156,36 @@ impl AggregationStore {
         }
     }
 
-    /// Records that `device` contributed under `app`.
-    fn add_device(&mut self, app: &str, device: u32) {
-        self.mark(app);
-        match self.devices.get_mut(app) {
-            Some(devices) => {
-                devices.insert(device);
+    /// Merges `report` into `app`'s report, creating that, and marks the
+    /// app only when its report changed.
+    fn merge_report(&mut self, app: &str, report: &HangBugReport) {
+        let changed = match self.apps.get_mut(app) {
+            Some(mine) => mine.merge(report),
+            None => {
+                let mut mine = HangBugReport::new(app);
+                mine.merge(report);
+                self.apps.insert(app.to_string(), mine);
+                true
             }
+        };
+        if changed {
+            self.mark(app);
+        }
+    }
+
+    /// Records that `device` contributed under `app`, and marks the app
+    /// only when the device is new to it.
+    fn add_device(&mut self, app: &str, device: u32) {
+        let added = match self.devices.get_mut(app) {
+            Some(devices) => devices.insert(device),
             None => {
                 self.devices
                     .insert(app.to_string(), BTreeSet::from([device]));
+                true
             }
+        };
+        if added {
+            self.mark(app);
         }
     }
 
@@ -273,11 +292,7 @@ impl AggregationStore {
     /// single-node store exactly.
     pub fn absorb(&mut self, snap: &StoreSnapshot) {
         for (app, report) in &snap.apps {
-            self.mark(app);
-            self.apps
-                .entry(app.clone())
-                .or_insert_with(|| HangBugReport::new(app))
-                .merge(report);
+            self.merge_report(app, report);
         }
         for (app, device) in &snap.devices {
             self.add_device(app, *device);
@@ -315,12 +330,14 @@ impl AppRows {
 /// read it, and [`report`] ranks the kept rows, so a query costs the
 /// apps written since the previous one rather than the whole fleet.
 ///
-/// A store marks every app an applied batch, an [`absorb`] or a
-/// [`from_snapshot`] touches; a batch that merged nothing new still
-/// marks its apps. Marks live outside the snapshot, so the first update
-/// over stores just recovered from disk is a full fold. A view is exact
-/// only while it is the one reader draining its partitions' marks and
-/// sees the same partitions on every update.
+/// A store marks an app when an applied batch or an [`absorb`] changes
+/// its report ([`HangBugReport::merge`] says whether it did) or adds a
+/// device to it; a batch that merges nothing new marks nothing.
+/// [`from_snapshot`] absorbs into an empty store, so it marks every app.
+/// Marks live outside the snapshot, so the first update over stores
+/// just recovered from disk is a full fold. A view is exact only while
+/// it is the one reader draining its partitions' marks and sees the
+/// same partitions on every update.
 ///
 /// [`update`]: ReportView::update
 /// [`report`]: ReportView::report
@@ -338,17 +355,21 @@ impl ReportView {
     }
 
     /// Drains the apps each of `parts` changed since the last update and
-    /// re-joins those apps across all the parts.
-    pub fn update(&mut self, parts: &mut [&mut AggregationStore]) {
+    /// re-joins those apps across all the parts. Returns whether it
+    /// re-joined any: when it did not, [`report`](ReportView::report)
+    /// answers as it did before the update.
+    pub fn update(&mut self, parts: &mut [&mut AggregationStore]) -> bool {
         let mut changed = BTreeSet::new();
         for part in parts.iter_mut() {
             changed.append(&mut part.changed);
         }
+        let rejoined = !changed.is_empty();
         let parts: Vec<&AggregationStore> = parts.iter().map(|p| &**p).collect();
         for app in changed {
             let rows = AggregationStore::app_rows(&parts, &app);
             self.apps.insert(app, rows);
         }
+        rejoined
     }
 
     /// The top-N report as of the last update.

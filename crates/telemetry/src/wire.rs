@@ -37,7 +37,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use hangdoctor::{DeviceSnapshot, HangBugReport};
 use hd_control::{ControlRequest, ControlResponse, CONTROL_SCHEMA};
@@ -457,7 +457,8 @@ fn read_exact_counted(r: &mut impl Read, buf: &mut [u8], needed: usize) -> Resul
 
 /// Carves every complete frame out of the front of `buf`, in order,
 /// and hands each payload to `each`, leaving a trailing partial frame
-/// in place.
+/// in place. After a payload `each` answers with `Break`, the frames
+/// behind it stay in `buf` too.
 ///
 /// A header-level violation (bad magic, oversize) poisons the stream —
 /// the caller should answer with an error and close — and stays in
@@ -465,7 +466,7 @@ fn read_exact_counted(r: &mut impl Read, buf: &mut [u8], needed: usize) -> Resul
 /// it. An incomplete tail is normal and simply waits for more bytes.
 fn carve(
     buf: &mut Vec<u8>,
-    mut each: impl FnMut(&[u8]) -> Result<(), FrameError>,
+    mut each: impl FnMut(&[u8]) -> Result<ControlFlow<()>, FrameError>,
 ) -> Result<(), FrameError> {
     let mut consumed = 0usize;
     let result = loop {
@@ -489,8 +490,10 @@ fn carve(
         }
         let handled = each(&rest[8..8 + len]);
         consumed += 8 + len;
-        if let Err(e) = handled {
-            break Err(e);
+        match handled {
+            Ok(ControlFlow::Continue(())) => {}
+            Ok(ControlFlow::Break(())) => break Ok(()),
+            Err(e) => break Err(e),
         }
     };
     buf.drain(..consumed);
@@ -508,7 +511,7 @@ pub fn drain_frames<T: Deserialize>(
     let mut out = Vec::new();
     carve(buf, |payload| {
         out.push(decode_payload_versioned(payload)?);
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     })?;
     Ok(out)
 }
@@ -518,9 +521,11 @@ pub fn drain_frames<T: Deserialize>(
 /// for an upload in canonical envelope form, its batch's JSON exactly
 /// as it arrived (see [`upload_fingerprint_from_payload`]). Requests
 /// ahead of a malformed frame are handled before the error returns.
+/// When `handle` answers a request with `Break`, the frames behind it
+/// stay in `buf`, undecoded, for a later call.
 pub fn drain_requests(
     buf: &mut Vec<u8>,
-    mut handle: impl FnMut(Request, WireVersion, Option<&[u8]>),
+    mut handle: impl FnMut(Request, WireVersion, Option<&[u8]>) -> ControlFlow<()>,
 ) -> Result<(), FrameError> {
     carve(buf, |payload| {
         let (request, version, body) = decode_envelope::<Request>(payload)?;
@@ -530,8 +535,7 @@ pub fn drain_requests(
             Request::Upload(_) => canonical_batch(payload, version, body),
             _ => None,
         };
-        handle(request, version, batch.map(|b| &payload[b]));
-        Ok(())
+        Ok(handle(request, version, batch.map(|b| &payload[b])))
     })
 }
 

@@ -2,8 +2,11 @@
 //! uploads over 1 to 4 store partitions, ranking root causes straight
 //! from the partitions equals merging the partitions first, and the
 //! merge gives the same bytes in any rotation of the partitions. And a
-//! [`ReportView`] kept across any sequence of ingests, absorbs and
-//! queries answers every query as a fresh fold of the partitions does.
+//! [`ReportView`] kept across any sequence of ingests, re-sends, absorbs
+//! and queries answers every query as a fresh fold of the partitions
+//! does, and as the previous query did whenever its update re-joined
+//! nothing. And the merge itself is a semilattice join, byte for byte,
+//! that says exactly when it changed a report.
 //!
 //! Every domain is tiny so the hard cases come up in most cases: one
 //! device uploading to two partitions with reports of different sizes
@@ -53,13 +56,14 @@ fn arb_upload() -> impl Strategy<Value = Upload> {
     )
 }
 
-/// One step of a view sequence: the operation (ingest, absorb or
-/// query), the upload it may apply, the batch layout, the partition a
-/// sibling absorb reads from, and the query's N.
+/// One step of a view sequence: the operation (ingest, absorb,
+/// re-send or query), the upload it may apply, the batch layout, the
+/// partition a sibling absorb reads from (and the earlier upload a
+/// re-send repeats), and the query's N.
 type Step = (usize, Upload, usize, usize, usize);
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    (0usize..8, arb_upload(), 0usize..3, 0usize..4, 1usize..8)
+    (0usize..9, arb_upload(), 0usize..3, 0usize..24, 1usize..8)
 }
 
 fn report(&(_, app, device, ref runs, ref bugs): &Upload) -> HangBugReport {
@@ -157,6 +161,9 @@ proptest! {
             (0..n_parts).map(|_| AggregationStore::new()).collect();
         let mut view = ReportView::new();
         let last = steps.len() - 1;
+        // Every ingested batch with its partition, and the last answer.
+        let mut sent: Vec<(usize, UploadBatch)> = Vec::new();
+        let mut kept: Option<(usize, String)> = None;
         for (seq, (op, upload, layout, from, top_n)) in steps.iter().enumerate() {
             let part = upload.0 % n_parts;
             // Layouts: the report under its own app; under the other
@@ -175,6 +182,7 @@ proptest! {
             match op {
                 0..=4 => {
                     stores[part].ingest(&batch);
+                    sent.push((part, batch));
                 }
                 // A rejoining node's state, new to every partition.
                 5 => {
@@ -186,17 +194,79 @@ proptest! {
                     let snap = stores[from % n_parts].snapshot();
                     stores[part].absorb(&snap);
                 }
+                // An earlier upload again under a new seq: applied, not
+                // absorbed, and it changes nothing.
+                7 if !sent.is_empty() => {
+                    let (part, earlier) = &sent[from % sent.len()];
+                    let resent = UploadBatch {
+                        seq: seq as u64,
+                        ..earlier.clone()
+                    };
+                    prop_assert!(!stores[*part].ingest(&resent).duplicate);
+                }
                 _ => {}
             }
-            if *op == 7 || seq == last {
+            if *op == 8 || seq == last {
                 let mut parts: Vec<&mut AggregationStore> = stores.iter_mut().collect();
-                view.update(&mut parts);
+                let rejoined = view.update(&mut parts);
                 let parts: Vec<&AggregationStore> = stores.iter().collect();
-                prop_assert_eq!(
-                    view.report(*top_n).to_json(),
-                    AggregationStore::fold_report(&parts, *top_n).to_json()
-                );
+                let want = AggregationStore::fold_report(&parts, *top_n).to_json();
+                prop_assert_eq!(view.report(*top_n).to_json(), want.clone());
+                // The server answers with its kept frame when nothing
+                // was re-joined and the query asks the same.
+                if let Some((n, answer)) = &kept {
+                    if !rejoined && n == top_n {
+                        prop_assert_eq!(answer, &want);
+                    }
+                }
+                kept = Some((*top_n, want));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn merge_is_a_join_and_says_exactly_when_it_changed(
+        uploads in proptest::collection::vec(arb_upload(), 3..8),
+    ) {
+        let json = |r: &HangBugReport| serde_json::to_string(r).unwrap();
+        let merged = |x: &HangBugReport, y: &HangBugReport| {
+            let mut m = x.clone();
+            m.merge(y);
+            m
+        };
+        // One app's reports, so every operand joins the same report.
+        let reports: Vec<HangBugReport> = uploads
+            .iter()
+            .map(|(part, _, device, runs, bugs)| report(&(*part, 0, *device, runs.clone(), bugs.clone())))
+            .collect();
+        // Idempotent: a report adds nothing to itself.
+        for r in &reports {
+            let mut again = r.clone();
+            prop_assert!(!again.merge(&r.clone()));
+            prop_assert_eq!(json(&again), json(r));
+        }
+        // Commutative and associative in serialized bytes.
+        let (a, b, c) = (&reports[0], &reports[1], &reports[2]);
+        prop_assert_eq!(json(&merged(a, b)), json(&merged(b, a)));
+        prop_assert_eq!(json(&merged(&merged(a, b), c)), json(&merged(a, &merged(b, c))));
+        // Exact: true when the bytes changed and only then, for every
+        // ordered pair and along a fold that meets every report twice.
+        for x in &reports {
+            for y in &reports {
+                let mut m = x.clone();
+                let changed = m.merge(y);
+                prop_assert_eq!(changed, json(&m) != json(x));
+            }
+        }
+        let mut acc = HangBugReport::new(APPS[0]);
+        for r in reports.iter().chain(&reports) {
+            let before = json(&acc);
+            let changed = acc.merge(r);
+            prop_assert_eq!(changed, json(&acc) != before);
         }
     }
 }

@@ -12,9 +12,11 @@
 //!
 //! After every ACK the served answer must equal
 //! [`AggregationStore::report`] over an in-process store fed the same
-//! batches; so must the answers after a kill-and-restart over the WAL,
-//! and after a restart from compaction snapshots with more shards,
-//! which leaves one device's pairs in two partitions.
+//! batches, asked twice, the second time answered from the server's
+//! kept frame; so must the answers after each batch is re-sent under a
+//! new `seq` (applied, but changing nothing), after a kill-and-restart
+//! over the WAL, and after a restart from compaction snapshots with more
+//! shards, which leaves one device's pairs in two partitions.
 
 use std::path::PathBuf;
 
@@ -110,8 +112,9 @@ fn start(shards: usize, wal_dir: &str) -> TelemetryServer {
 }
 
 /// Uploads `batches` one at a time on one connection and, after each
-/// ACK, queries on a second connection: the answer must equal a fresh
-/// fold of `expected` fed the same batches.
+/// ACK, queries twice on a second connection: each answer must equal a
+/// fresh fold of `expected` fed the same batches. Then the batch goes
+/// again under a new `seq`, and so do the two queries.
 fn upload_and_check(
     server: &TelemetryServer,
     batches: &[UploadBatch],
@@ -120,17 +123,25 @@ fn upload_and_check(
     let mut uploads = Uploader::plain(server.local_addr());
     let mut queries = Uploader::plain(server.local_addr());
     for (i, b) in batches.iter().enumerate() {
-        uploads.upload(b).expect("upload ACKed");
-        expected.ingest(b);
+        let resent = UploadBatch {
+            seq: b.seq + 1000,
+            ..b.clone()
+        };
         let top_n = if i % 2 == 0 { 50 } else { 3 };
-        assert_eq!(
-            queries.query(top_n).expect("query answered").to_json(),
-            expected.report(top_n).to_json(),
-            "after batch {i} ({} from device {}, seq {})",
-            b.app,
-            b.device,
-            b.seq
-        );
+        for b in [b, &resent] {
+            assert!(!uploads.upload(b).expect("upload ACKed").duplicate);
+            expected.ingest(b);
+            for _ in 0..2 {
+                assert_eq!(
+                    queries.query(top_n).expect("query answered").to_json(),
+                    expected.report(top_n).to_json(),
+                    "after batch {i} ({} from device {}, seq {})",
+                    b.app,
+                    b.device,
+                    b.seq
+                );
+            }
+        }
     }
 }
 
