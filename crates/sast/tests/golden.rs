@@ -1,9 +1,11 @@
-//! Golden fixture: the full-profile analyzer reports over the Table 1
+//! Golden fixtures: the full-profile analyzer reports over the Table 1
 //! corpus, checked in byte-for-byte. Any change to these bytes means the
 //! analysis changed — rule renames, severity regrades, summary-
 //! propagation tweaks, and schema drift all surface here. CI greps the
 //! same artifact, so this fixture is the machine-checkable contract of
-//! `repro sast`.
+//! `repro sast`. A second fixture pins, per profile, the size and digest
+//! of every report over the corpus perfbench's `sast-corpus` workload
+//! scans.
 //!
 //! Regenerate (only when a deliberate behavior change lands) with:
 //!
@@ -11,9 +13,12 @@
 //! GOLDEN_REGEN=1 cargo test -p hd-sast --test golden
 //! ```
 
-use hd_sast::{analyze, SastConfig, SastReport, SAST_SCHEMA};
+use hangdoctor::BlockingApiDb;
+use hd_appmodel::corpus::{differential_corpus, synth};
+use hd_sast::{analyze, scan_corpus, RuleProfile, SastConfig, SastReport, SAST_SCHEMA};
 
 const FIXTURE: &str = include_str!("fixtures/sast_table1.json");
+const CORPUS_FIXTURE: &str = include_str!("fixtures/sast_corpus.txt");
 
 fn check_or_regen(rendered: String, fixture: &str, name: &str) {
     if std::env::var_os("GOLDEN_REGEN").is_some() {
@@ -37,6 +42,49 @@ fn table1_full_profile_reports_match_checked_in_fixture() {
     assert!(reports.iter().any(|r| !r.findings.is_empty()));
     let json = serde_json::to_string_pretty(&reports).expect("serializable reports");
     check_or_regen(format!("{json}\n"), FIXTURE, "sast_table1.json");
+}
+
+/// FNV-1a 64, the digest perfbench prints beside its checked outputs.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn sast_corpus_reports_match_checked_in_digests() {
+    // perfbench's sast-corpus input: the differential corpus plus 4,000
+    // generated apps at seed 42, scanned on 2 threads with a fresh
+    // cache. One line per profile: report count, bytes and FNV-1a 64 of
+    // the one-report-per-line JSON.
+    let mut apps = differential_corpus();
+    apps.extend(synth::apps(4_000, 42));
+    let db = BlockingApiDb::documented(2017);
+    let mut lines = String::new();
+    for profile in [
+        RuleProfile::Contextual,
+        RuleProfile::Full,
+        RuleProfile::PerfCheckerCompat,
+    ] {
+        let config = SastConfig {
+            profile,
+            db_year: 2017,
+        };
+        let scan = scan_corpus(&apps, &db, &config, 2);
+        let mut bytes = String::new();
+        for report in &scan.reports {
+            bytes.push_str(&serde_json::to_string(report).expect("serializable report"));
+            bytes.push('\n');
+        }
+        lines.push_str(&format!(
+            "{} {} {} {:016x}\n",
+            profile.as_str(),
+            scan.reports.len(),
+            bytes.len(),
+            fnv1a(bytes.as_bytes())
+        ));
+    }
+    check_or_regen(lines, CORPUS_FIXTURE, "sast_corpus.txt");
 }
 
 #[test]
