@@ -1,13 +1,14 @@
 //! Content-hashed cross-app summary cache.
 //!
 //! Corpus apps are built from a shared API registry, so their call-site
-//! subgraphs repeat: every app that commits preferences on the main
-//! thread has the *same* entry API with the same cost model, and many
-//! share whole wrapper chains. The contextual analysis keys each call
-//! site by a structural fingerprint of its reachable contextual
-//! subgraph ([`ContextIndex::site_fingerprint`]) and memoizes the
-//! resolved target list here, so across a 114-app study each distinct
-//! subgraph is summarized once.
+//! subgraphs repeat: many share whole wrapper chains. The contextual
+//! analysis keys each call site that has a first hop by a structural
+//! fingerprint of its reachable contextual subgraph
+//! ([`ContextIndex::site_fingerprint`]) and memoizes the resolved target
+//! list here, so across a corpus each distinct subgraph is summarized
+//! once. A direct call site reaches only its own API, so the engine
+//! resolves it inline with one check, which costs less than a
+//! fingerprint, a shard lock and a shared `Arc` would.
 //!
 //! The cached value is app-independent by construction: targets are
 //! stored by symbol/file/line/cost (all of which the fingerprint
@@ -75,8 +76,9 @@ impl CacheStats {
 }
 
 /// Number of independently locked shards. Fingerprints are uniformly
-/// distributed (FNV over the whole subgraph), so a modest power of two
-/// spreads a scan's lookups far enough that threads rarely collide.
+/// distributed (a word-mixing digest of the whole subgraph with a
+/// splitmix finalizer), so a modest power of two spreads a scan's
+/// lookups far enough that threads rarely collide.
 const SHARDS: usize = 64;
 
 /// A shareable (thread-safe) fingerprint → reachability memo table,

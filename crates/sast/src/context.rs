@@ -82,19 +82,21 @@ impl ContextIndex {
         let mut edges: Vec<BTreeSet<usize>> = Vec::new();
         for action in &app.actions {
             for call in action.calls() {
-                let chain: Vec<usize> = frames(call);
-                for window in chain.windows(2) {
-                    let (caller, node) = (window[0], window[1]);
+                // One walk down the chain: each frame gets the key of
+                // `(frame, caller)` and is a successor of the caller's key.
+                let mut chain = frames(call);
+                let mut caller = chain.next().expect("a chain ends in its working API");
+                let mut caller_key: Option<usize> = None;
+                for node in chain {
                     let next = keys.len();
-                    keys.entry((node, caller)).or_insert_with(|| {
+                    let key = *keys.entry((node, caller)).or_insert_with(|| {
                         edges.push(BTreeSet::new());
                         next
                     });
-                }
-                for window in chain.windows(3) {
-                    let (caller, node, succ) = (window[0], window[1], window[2]);
-                    let key = keys[&(node, caller)];
-                    edges[key].insert(succ);
+                    if let Some(k) = caller_key {
+                        edges[k].insert(node);
+                    }
+                    (caller, caller_key) = (node, Some(key));
                 }
             }
         }
@@ -196,11 +198,23 @@ impl ContextIndex {
     /// edge down. Returns `None` when the entry frame is closed-source
     /// (the site is unscannable, exactly like the `Full` profile).
     pub fn site_reach(&self, app: &App, call: &Call) -> Option<SiteReach> {
-        let chain = frames(call);
-        let entry = chain[0];
+        let entry = entry_frame(call);
         if app.apis[entry].closed_source {
             return None;
         }
+        let Some(hop) = first_hop(call) else {
+            // A direct call reaches its own API and nothing else.
+            let own = working(app, entry).then_some(SiteTarget {
+                node: entry,
+                depth: 0,
+                caller: None,
+            });
+            return Some(SiteReach {
+                entry,
+                targets: own.into_iter().collect(),
+                truncated: false,
+            });
+        };
         let mut targets: BTreeMap<usize, Reach> = BTreeMap::new();
         let mut truncated = false;
         if working(app, entry) {
@@ -212,25 +226,22 @@ impl ContextIndex {
                 },
             );
         }
-        if chain.len() >= 2 {
-            let hop = chain[1];
-            if app.apis[hop].closed_source {
-                truncated = true;
-            } else {
-                let key = self.keys[&(hop, entry)];
-                truncated |= self.truncated[key];
-                for (&target, r) in &self.reach[key] {
-                    let candidate = Reach {
-                        depth: r.depth + 1,
-                        caller: Some(if r.depth == 0 {
-                            entry
-                        } else {
-                            r.caller.unwrap()
-                        }),
-                    };
-                    if improves(app, targets.get(&target), candidate) {
-                        targets.insert(target, candidate);
-                    }
+        if app.apis[hop].closed_source {
+            truncated = true;
+        } else {
+            let key = self.keys[&(hop, entry)];
+            truncated |= self.truncated[key];
+            for (&target, r) in &self.reach[key] {
+                let candidate = Reach {
+                    depth: r.depth + 1,
+                    caller: Some(if r.depth == 0 {
+                        entry
+                    } else {
+                        r.caller.unwrap()
+                    }),
+                };
+                if improves(app, targets.get(&target), candidate) {
+                    targets.insert(target, candidate);
                 }
             }
         }
@@ -259,15 +270,15 @@ impl ContextIndex {
     /// Two sites (in the same app or different apps) with equal
     /// fingerprints have identical reachability results by construction.
     pub fn site_fingerprint(&self, app: &App, call: &Call) -> u64 {
-        let chain = frames(call);
-        let mut hasher = Fnv::new();
+        let entry = entry_frame(call);
+        let mut hasher = WordHash::new();
         hasher.write(b"hd-sast/ctx/v1");
-        hash_node(&mut hasher, app, chain[0]);
-        if chain.len() >= 2 {
+        hash_node(&mut hasher, app, entry);
+        if let Some(hop) = first_hop(call) {
             // Canonical walk of the reachable key set.
             let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
             let mut queue = VecDeque::new();
-            let first = (chain[1], chain[0]);
+            let first = (hop, entry);
             if self.keys.contains_key(&first) {
                 seen.insert(first);
                 queue.push_back(first);
@@ -334,10 +345,25 @@ pub struct SiteTarget {
     pub caller: Option<usize>,
 }
 
-/// The concrete frame list of a call site: wrapper chain, then the
-/// working API.
-fn frames(call: &Call) -> Vec<usize> {
-    call.via.iter().map(|w| w.0).chain([call.api.0]).collect()
+/// The concrete frames of a call site: wrapper chain, then the working
+/// API.
+fn frames(call: &Call) -> impl Iterator<Item = usize> + '_ {
+    call.via.iter().chain([&call.api]).map(|f| f.0)
+}
+
+/// The first frame a call site's handler enters: its outermost wrapper,
+/// or the working API itself for a direct call.
+pub(crate) fn entry_frame(call: &Call) -> usize {
+    call.via.first().unwrap_or(&call.api).0
+}
+
+/// The frame the entry frame calls (`None` for a direct call).
+pub(crate) fn first_hop(call: &Call) -> Option<usize> {
+    match call.via.len() {
+        0 => None,
+        1 => Some(call.api.0),
+        _ => Some(call.via[1].0),
+    }
 }
 
 /// Min-depth merge with a deterministic, index-free caller tie-break.
@@ -356,7 +382,7 @@ fn improves(app: &App, current: Option<&Reach>, candidate: Reach) -> bool {
     }
 }
 
-fn hash_node(hasher: &mut Fnv, app: &App, node: usize) {
+fn hash_node(hasher: &mut WordHash, app: &App, node: usize) {
     let api = &app.apis[node];
     hasher.write(api.symbol.as_bytes());
     hasher.write(api.file.as_bytes());
@@ -379,7 +405,7 @@ fn kind_tag(app: &App, node: usize) -> u8 {
 /// independent of the app's name and package — recorded in every report
 /// so downstream tooling can group structurally identical apps.
 pub fn app_fingerprint(app: &App) -> u64 {
-    let mut hasher = Fnv::new();
+    let mut hasher = WordHash::new();
     hasher.write(b"hd-sast/app/v1");
     for (node, _) in app.apis.iter().enumerate() {
         hash_node(&mut hasher, app, node);
@@ -405,22 +431,38 @@ pub fn app_fingerprint(app: &App) -> u64 {
 /// `app_fingerprint` (computed for every report) and
 /// [`ContextIndex::site_fingerprint`] several times cheaper than the
 /// byte-serial FNV-1a the telemetry layer uses on its hot path.
-struct Fnv(u64);
+struct WordHash(u64);
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+impl WordHash {
+    fn new() -> WordHash {
+        WordHash(0xcbf2_9ce4_8422_2325)
     }
 
+    /// Mixes `bytes` in as little-endian 8-byte words: whole words are
+    /// read in place, and only a short tail is zero-padded.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            // The length term keeps zero bytes and short-chunk padding
-            // from colliding.
-            let word = u64::from_le_bytes(word) ^ (chunk.len() as u64) << 56;
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(
+                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+                8,
+            );
         }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let word = tail
+                .iter()
+                .rev()
+                .fold(0u64, |word, &byte| (word << 8) | byte as u64);
+            self.mix(word, tail.len());
+        }
+    }
+
+    fn mix(&mut self, word: u64, len: usize) {
+        // The length term keeps zero bytes and short-chunk padding from
+        // colliding.
+        let word = word ^ (len as u64) << 56;
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
     fn finish(&self) -> u64 {

@@ -35,6 +35,7 @@
 //! ([`BugClass::AsyncHang`]).
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use hangdoctor::BlockingApiDb;
@@ -43,7 +44,7 @@ use hd_simrt::{ActionUid, MILLIS};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReach, CachedTarget, SummaryCache};
-use crate::context::{app_fingerprint, ContextIndex};
+use crate::context::{app_fingerprint, entry_frame, first_hop, ContextIndex};
 use crate::graph::CallGraph;
 use crate::report::{SastFinding, SastReport, SAST_SCHEMA};
 use crate::rules::{rule_table, RuleProfile, Severity, RULE_DIRECT, RULE_VIA_WRAPPER};
@@ -87,8 +88,9 @@ pub fn analyze_with_db(app: &App, db: &BlockingApiDb, config: &SastConfig) -> Sa
     analyze_with_db_cached(app, db, config, None)
 }
 
-/// Like [`analyze_with_db`], memoizing contextual site summaries in the
-/// given cross-app cache. Passing the same cache to many apps (or many
+/// Like [`analyze_with_db`], memoizing the contextual summaries of call
+/// sites with a first hop in the given cross-app cache (a direct call
+/// resolves inline). Passing the same cache to many apps (or many
 /// threads) reuses summaries across structurally identical call sites;
 /// the report bytes are identical with or without a cache.
 pub fn analyze_with_db_cached(
@@ -101,32 +103,52 @@ pub fn analyze_with_db_cached(
     let findings = analysis
         .records
         .iter()
-        .map(|record| record.findings(db, config.profile))
+        .flat_map(|record| record.findings(db, config.profile))
         .collect();
     assemble_report(app, config, &analysis, findings)
 }
 
+/// A site's resolved targets: an entry shared with the cache, or the
+/// site's own list (no allocation when it is empty).
+#[derive(Debug)]
+pub(crate) enum Targets {
+    Shared(Arc<CachedReach>),
+    Own(CachedReach),
+}
+
+impl Deref for Targets {
+    type Target = CachedReach;
+
+    fn deref(&self) -> &CachedReach {
+        match self {
+            Targets::Shared(reach) => reach,
+            Targets::Own(reach) => reach,
+        }
+    }
+}
+
 /// One analyzable call site, resolved to its database-independent
-/// target list.
-#[derive(Clone, Debug)]
-pub(crate) struct SiteRecord {
+/// target list. Its names are borrowed from the app and copied only
+/// into a finding.
+#[derive(Debug)]
+pub(crate) struct SiteRecord<'a> {
     pub action: ActionUid,
-    pub action_name: String,
-    pub handler: String,
+    pub action_name: &'a str,
+    pub handler: &'a str,
     /// Call-site ordinal within the action (flat across events,
     /// counting every call so the identity is stable under gating).
     pub site: u32,
     /// Symbol of the site's own working API (bug attachment point).
-    pub call_api_symbol: String,
+    pub call_api_symbol: &'a str,
     /// Ground-truth tag of the call site, if any.
-    pub bug_id: Option<String>,
+    pub bug_id: Option<&'a str>,
     /// First frame the handler enters.
-    pub entry_symbol: String,
+    pub entry_symbol: &'a str,
     /// Reachable targets (db membership not yet applied).
-    pub targets: Arc<CachedReach>,
+    pub targets: Targets,
 }
 
-impl SiteRecord {
+impl SiteRecord<'_> {
     /// Assembles the site's findings under a database.
     pub fn findings(&self, db: &BlockingApiDb, profile: RuleProfile) -> Vec<SastFinding> {
         let mut findings = Vec::new();
@@ -147,7 +169,7 @@ impl SiteRecord {
                 Severity::Warning
             };
             let bug_id = if target.symbol == self.call_api_symbol {
-                self.bug_id.clone()
+                self.bug_id.map(str::to_string)
             } else {
                 None
             };
@@ -155,10 +177,10 @@ impl SiteRecord {
                 rule: rule.to_string(),
                 severity,
                 action: self.action,
-                action_name: self.action_name.clone(),
-                handler: self.handler.clone(),
+                action_name: self.action_name.to_string(),
+                handler: self.handler.to_string(),
                 site: self.site,
-                entry_symbol: self.entry_symbol.clone(),
+                entry_symbol: self.entry_symbol.to_string(),
                 context: target.context.clone(),
                 api_symbol: target.symbol.clone(),
                 file: target.file.clone(),
@@ -189,9 +211,9 @@ impl SiteRecord {
 }
 
 /// The database-independent analysis of one app.
-#[derive(Clone, Debug)]
-pub(crate) struct SiteAnalysis {
-    pub records: Vec<SiteRecord>,
+#[derive(Debug)]
+pub(crate) struct SiteAnalysis<'a> {
+    pub records: Vec<SiteRecord<'a>>,
     /// `(node, caller)` summary keys (0 for non-contextual profiles).
     pub context_pairs: usize,
     /// Structural fingerprint of the app model.
@@ -199,11 +221,11 @@ pub(crate) struct SiteAnalysis {
 }
 
 /// Resolves every analyzable call site to its target list.
-pub(crate) fn resolve_sites(
-    app: &App,
+pub(crate) fn resolve_sites<'a>(
+    app: &'a App,
     config: &SastConfig,
     cache: Option<&SummaryCache>,
-) -> SiteAnalysis {
+) -> SiteAnalysis<'a> {
     enum Engine {
         Compat,
         Full {
@@ -228,8 +250,9 @@ pub(crate) fn resolve_sites(
     // `site_fingerprint` depends only on the site's (entry, first-hop)
     // pair, so sites sharing a first hop reuse the hash — without this
     // memo the per-site canonical-subgraph walk costs more than the
-    // summary computation the cross-app cache saves.
-    let mut fp_memo: HashMap<(usize, Option<usize>), u64> = HashMap::new();
+    // summary computation the cross-app cache saves. An app has a
+    // handful of such pairs, so a list beats a hash map.
+    let mut fp_memo: Vec<((usize, usize), u64)> = Vec::new();
     let mut records = Vec::new();
     for action in &app.actions {
         let mut site = 0u32;
@@ -248,14 +271,14 @@ pub(crate) fn resolve_sites(
                     // behind that edge.
                     continue;
                 }
-                let entry = call.via.first().copied().unwrap_or(call.api).0;
+                let entry = entry_frame(call);
                 let targets = match &engine {
                     Engine::Compat => {
                         if !app.call_visible(call) {
                             continue;
                         }
                         let api = app.api(call.api);
-                        Arc::new(CachedReach {
+                        Targets::Own(CachedReach {
                             targets: vec![CachedTarget {
                                 symbol: api.symbol.clone(),
                                 file: api.file.clone(),
@@ -296,7 +319,7 @@ pub(crate) fn resolve_sites(
                             })
                             .collect();
                         targets.sort_by(|a, b| a.symbol.cmp(&b.symbol));
-                        Arc::new(CachedReach {
+                        Targets::Own(CachedReach {
                             targets,
                             truncated: summaries[entry].truncated,
                         })
@@ -333,30 +356,34 @@ pub(crate) fn resolve_sites(
                         if app.apis[entry].closed_source {
                             continue;
                         }
-                        match cache {
-                            Some(cache) => {
-                                let hop = call
-                                    .via
-                                    .get(1)
-                                    .map(|w| w.0)
-                                    .or((!call.via.is_empty()).then_some(call.api.0));
-                                let fingerprint = *fp_memo
-                                    .entry((entry, hop))
-                                    .or_insert_with(|| index.site_fingerprint(app, call));
-                                cache.lookup_or_insert(fingerprint, compute)
+                        match (cache, first_hop(call)) {
+                            (Some(cache), Some(hop)) => {
+                                let fingerprint =
+                                    match fp_memo.iter().find(|(pair, _)| *pair == (entry, hop)) {
+                                        Some(&(_, fingerprint)) => fingerprint,
+                                        None => {
+                                            let fingerprint = index.site_fingerprint(app, call);
+                                            fp_memo.push(((entry, hop), fingerprint));
+                                            fingerprint
+                                        }
+                                    };
+                                Targets::Shared(cache.lookup_or_insert(fingerprint, compute))
                             }
-                            None => Arc::new(compute()),
+                            // Uncached, or a direct call: that reaches only
+                            // its own API, so resolving it is one `working`
+                            // check, less than a fingerprint and a lock.
+                            _ => Targets::Own(compute()),
                         }
                     }
                 };
                 records.push(SiteRecord {
                     action: action.uid,
-                    action_name: action.name.clone(),
-                    handler: event.handler.clone(),
+                    action_name: &action.name,
+                    handler: &event.handler,
                     site: ordinal,
-                    call_api_symbol: app.api(call.api).symbol.clone(),
-                    bug_id: call.bug_id.clone(),
-                    entry_symbol: app.apis[entry].symbol.clone(),
+                    call_api_symbol: &app.api(call.api).symbol,
+                    bug_id: call.bug_id.as_deref(),
+                    entry_symbol: &app.apis[entry].symbol,
                     targets,
                 });
             }
@@ -373,12 +400,12 @@ pub(crate) fn resolve_sites(
     }
 }
 
-/// Assembles per-site findings into the final report.
+/// Assembles the sites' findings into the final report.
 pub(crate) fn assemble_report(
     app: &App,
     config: &SastConfig,
     analysis: &SiteAnalysis,
-    per_site: Vec<Vec<SastFinding>>,
+    findings: Vec<SastFinding>,
 ) -> SastReport {
     SastReport {
         schema: SAST_SCHEMA.to_string(),
@@ -389,7 +416,7 @@ pub(crate) fn assemble_report(
         context_pairs: analysis.context_pairs,
         app_fingerprint: analysis.fingerprint,
         rules: rule_table(config.profile),
-        findings: dedupe(per_site.into_iter().flatten().collect()),
+        findings: dedupe(findings),
     }
 }
 
@@ -1023,17 +1050,31 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_contextual_reports_are_identical() {
+        let db = BlockingApiDb::documented(2017);
         let cache = SummaryCache::new();
         for app in table1::apps().iter().chain(table5::apps().iter()) {
-            let db = BlockingApiDb::documented(2017);
+            let plain = analyze_with_db(app, &db, &contextual());
+            let cached = analyze_with_db_cached(app, &db, &contextual(), Some(&cache));
+            assert_eq!(plain, cached, "{}", app.name);
+        }
+        // Cross-app reuse: a twin that differs only in name and package
+        // is served both of its hop sites from the first app's entries,
+        // and its direct site never reaches the cache.
+        let (app, _, _) = shared_wrapper_app();
+        let mut twin = app.clone();
+        twin.name = "SharedTwin".into();
+        twin.package = "com.sharedtwin".into();
+        let cache = SummaryCache::new();
+        for app in [&app, &twin] {
             let plain = analyze_with_db(app, &db, &contextual());
             let cached = analyze_with_db_cached(app, &db, &contextual(), Some(&cache));
             assert_eq!(plain, cached, "{}", app.name);
         }
         let stats = cache.stats();
-        assert!(
-            stats.hits > 0,
-            "the corpus shares registry APIs; cross-app reuse must occur: {stats:?}"
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (2, 2, 2),
+            "each hop site's summary is computed once and reused: {stats:?}"
         );
     }
 }

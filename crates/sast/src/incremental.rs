@@ -32,7 +32,7 @@ pub struct AnalysisSession<'a> {
     app: &'a App,
     config: SastConfig,
     db: BlockingApiDb,
-    analysis: SiteAnalysis,
+    analysis: SiteAnalysis<'a>,
     /// Per-site findings, parallel to `analysis.records`.
     findings: Vec<Vec<SastFinding>>,
     last_recomputed: usize,
@@ -97,7 +97,7 @@ impl<'a> AnalysisSession<'a> {
             self.app,
             &self.config,
             &self.analysis,
-            self.findings.clone(),
+            self.findings.concat(),
         )
     }
 

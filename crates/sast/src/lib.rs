@@ -24,10 +24,11 @@
 //!
 //! Around that core, the v2 engine scales to corpus studies:
 //!
-//! * [`cache`] — a content-hashed cross-app [`SummaryCache`]: contextual
-//!   site summaries keyed by a structural fingerprint of the reachable
-//!   subgraph are computed once and reused across every app that shares
-//!   the shape;
+//! * [`cache`] — a content-hashed cross-app [`SummaryCache`]: the
+//!   contextual summaries of call sites with a first hop, keyed by a
+//!   structural fingerprint of the reachable subgraph, are computed once
+//!   and reused across every app that shares the shape (a direct call
+//!   resolves inline, with no lookup);
 //! * [`incremental`] — [`AnalysisSession`] re-filters only the call
 //!   sites whose resolved targets intersect newly discovered database
 //!   symbols (the paper's feedback loop without full re-scans);

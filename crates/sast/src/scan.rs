@@ -70,8 +70,9 @@ pub fn scan_corpus_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::analyze_with_db;
     use crate::rules::RuleProfile;
-    use hd_appmodel::corpus::{table1, table5};
+    use hd_appmodel::corpus::{synth, table1, table5};
 
     fn corpus() -> Vec<App> {
         let mut apps = table1::apps();
@@ -130,6 +131,28 @@ mod tests {
         );
         assert_eq!(warm.cache.misses, 0, "warm pass must not recompute");
         assert!(warm.cache.hits > 0);
+    }
+
+    #[test]
+    fn direct_only_apps_never_touch_the_cache() {
+        // Generated apps make only direct calls, which resolve inline:
+        // the scan looks nothing up and stores nothing, and its reports
+        // are the uncached ones.
+        let apps = synth::apps(64, 42);
+        assert!(apps
+            .iter()
+            .flat_map(|app| &app.actions)
+            .flat_map(|action| action.calls())
+            .all(|call| call.via.is_empty()));
+        let db = BlockingApiDb::documented(2017);
+        let cfg = configs()[0];
+        let scan = scan_corpus(&apps, &db, &cfg, 2);
+        assert_eq!(scan.cache, CacheStats::default());
+        let uncached: Vec<SastReport> = apps
+            .iter()
+            .map(|app| analyze_with_db(app, &db, &cfg))
+            .collect();
+        assert_eq!(scan.reports, uncached);
     }
 
     #[test]
